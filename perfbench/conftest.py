@@ -1,0 +1,9 @@
+"""Lets `python3 -m pytest perfbench` import the benchmark modules and `src/`."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for path in (HERE, os.path.join(os.path.dirname(HERE), "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)

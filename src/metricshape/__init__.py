@@ -47,7 +47,6 @@ from .metrics import (
 from .refine import RefineConfig, RefineState, refine_joint, refine_report
 from .solver import (
     DistanceConstraint,
-    LMConfig,
     SolveReport,
     SolverParams,
     canonical_params,

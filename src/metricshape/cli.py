@@ -246,3 +246,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -143,57 +143,33 @@ def compose_residual(res: IncidenceField, cano: IncidenceField) -> IncidenceFiel
     return IncidenceField(rays)
 
 
-def _quotient_preferring_exact_product(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Quotient q = num/den, nudged by ulps so that q*den == num where possible.
-
-    The correctly rounded quotient multiplies back to ``num`` for most
-    inputs; where it does not, a quotient one ulp away sometimes does.
-    About a tenth of random inputs have no representable preimage at all,
-    in which case the closest achievable quotient is kept (product off by
-    one ulp).
-    """
-    q = num / den
-    for _ in range(3):
-        prod = q * den
-        bad = prod != num
-        if not bad.any():
-            break
-        direction = np.where((num - prod) * den > 0.0, np.inf, -np.inf)
-        candidate = np.nextafter(q, direction)
-        take = bad & (np.abs(candidate * den - num) < np.abs(prod - num))
-        if not take.any():
-            break
-        q = np.where(take, candidate, q)
-    return q
-
-
 SINGULARITY_EPS = 1e-6
 
 
 def extract_residual(
-    gt: IncidenceField, cano: IncidenceField, eps: float = SINGULARITY_EPS
+    gt: IncidenceField, cano: IncidenceField
 ) -> tuple[IncidenceField, np.ndarray]:
     """Per-pixel quotient of gt by cano on x and y, with a singularity mask.
 
     Returns (residual, singular_mask). Each component is divided where the
-    magnitude of its own canonical component exceeds eps and set to exactly
-    1 where it does not (that component carries no information there); the
-    mask flags pixels where either component was singular — the canonical
-    principal row and column. When both fields share the canonical
-    principal point, composing the residual back reproduces the target on
-    the singular cross too, since the target components vanish exactly
-    where the canonical ones do.
+    magnitude of its own canonical component exceeds ``SINGULARITY_EPS`` and
+    set to exactly 1 where it does not (that component carries no
+    information there); the mask flags pixels where either component was
+    singular — the canonical principal row and column. When both fields
+    share the canonical principal point, composing the residual back
+    reproduces the target on the singular cross too, since the target
+    components vanish exactly where the canonical ones do.
     """
     _require_same_shape(gt, cano)
     _require_z1(gt, "target field")
     _require_z1(cano, "canonical field")
-    sing_x = np.abs(cano.x) <= eps
-    sing_y = np.abs(cano.y) <= eps
+    sing_x = np.abs(cano.x) <= SINGULARITY_EPS
+    sing_y = np.abs(cano.y) <= SINGULARITY_EPS
     safe_x = np.where(sing_x, 1.0, cano.x)
     safe_y = np.where(sing_y, 1.0, cano.y)
     rays = np.empty_like(cano.rays)
-    rays[..., 0] = np.where(sing_x, 1.0, _quotient_preferring_exact_product(gt.x, safe_x))
-    rays[..., 1] = np.where(sing_y, 1.0, _quotient_preferring_exact_product(gt.y, safe_y))
+    rays[..., 0] = np.where(sing_x, 1.0, gt.x / safe_x)
+    rays[..., 1] = np.where(sing_y, 1.0, gt.y / safe_y)
     rays[..., 2] = 1.0
     return IncidenceField(rays), sing_x | sing_y
 

@@ -40,7 +40,7 @@ from .metrics import (
     fov_error_stats,
     shape_metrics,
 )
-from .solver import DistanceConstraint, _coefficient_matrix
+from .solver import DistanceConstraint, _coefficient_matrix, _residuals_and_jacobian
 
 ARMIJO_C = 1e-4
 BACKTRACK_SHRINK = 0.5
@@ -168,16 +168,10 @@ def _constraints_objective(constraints: tuple[DistanceConstraint, ...]):
         fx, fy = math.exp(theta[0]), math.exp(theta[1])
         r_x, r_y = 1.0 / fx, 1.0 / fy
         t_x, t_y = float(theta[2]) * r_x, float(theta[3]) * r_y
-        sx = rows[:, 0] * r_x + rows[:, 1] * t_x
-        sy = rows[:, 2] * r_y + rows[:, 3] * t_y
-        f = (sx * sx + sy * sy + rows[:, 4]) * weights
-        loss = float(f @ f)
+        f, jac = _residuals_and_jacobian(np.array([t_x, t_y, r_x, r_y]), rows, weights)
         # d loss / d (t_x, t_y, r_x, r_y), then chain into theta:
         # t_x = cx * r_x and r_x = exp(-log fx), so d/d log fx = -(t_x d_tx + r_x d_rx)
-        d_tx = float((2.0 * f * weights * 2.0 * sx * rows[:, 1]).sum())
-        d_ty = float((2.0 * f * weights * 2.0 * sy * rows[:, 3]).sum())
-        d_rx = float((2.0 * f * weights * 2.0 * sx * rows[:, 0]).sum())
-        d_ry = float((2.0 * f * weights * 2.0 * sy * rows[:, 2]).sum())
+        d_tx, d_ty, d_rx, d_ry = 2.0 * (jac.T @ f)
         grad_theta = np.array(
             [
                 -(t_x * d_tx + r_x * d_rx),
@@ -186,7 +180,7 @@ def _constraints_objective(constraints: tuple[DistanceConstraint, ...]):
                 d_ty * r_y,
             ]
         )
-        return loss, np.zeros_like(log_depth), grad_theta
+        return float(f @ f), np.zeros_like(log_depth), grad_theta
 
     return evaluate
 

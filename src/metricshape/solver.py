@@ -29,12 +29,28 @@ DegenerateConstraintsError; a merely ill-conditioned Jacobian sets
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .camera import Intrinsics, focal_from_fov
 from .errors import DegenerateConstraintsError, InfeasibleConstraintError
+
+# Levenberg-Marquardt schedule. Convergence is declared when the scaled
+# residual norm drops below TOL_ABS or an accepted step is shorter than
+# TOL_STEP; the solve gives up when the damping exceeds DAMPING_MAX.
+DAMPING_INIT = 1e-3
+DAMPING_FACTOR = 10.0
+DAMPING_MAX = 1e16
+MAX_ITER = 200
+TOL_ABS = 1e-14
+TOL_STEP = 1e-12
+# smallest-to-largest singular value ratio below which a solve is flagged
+CONDITION_RATIO = 1e-8
+# enumerate_solutions keeps endpoints whose scaled residual norm is below this
+ROOT_RESIDUAL_TOL = 1e-10
+LADDER_FOVS_DEG = (45.0, 65.0, 85.0, 105.0)
+
 
 @dataclass(frozen=True)
 class DistanceConstraint:
@@ -105,19 +121,6 @@ class SolverParams:
 
 
 @dataclass(frozen=True)
-class LMConfig:
-    """Levenberg-Marquardt schedule; values are configuration, not contract."""
-
-    damping_init: float = 1e-3
-    damping_factor: float = 10.0
-    damping_max: float = 1e16
-    max_iter: int = 200
-    tol_abs: float = 1e-14
-    tol_step: float = 1e-12
-    condition_ratio: float = 1e-8
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Solve outcome: recovered intrinsics plus convergence diagnostics."""
 
@@ -150,18 +153,14 @@ def coefficients_from_constraint(c: DistanceConstraint) -> ConstraintCoefficient
 
 def constraint_residual(coef: ConstraintCoefficients, params: SolverParams) -> float:
     """Left-hand side of the constraint equation; zero iff exactly satisfied."""
-    sx = coef.a1 * params.r_x + coef.a2 * params.t_x
-    sy = coef.a3 * params.r_y + coef.a4 * params.t_y
-    return sx * sx + sy * sy + coef.a5
+    f, _ = _residuals_and_jacobian(params.as_array(), np.array([astuple(coef)]), np.ones(1))
+    return float(f[0])
 
 
 def constraint_gradient(coef: ConstraintCoefficients, params: SolverParams) -> np.ndarray:
     """Gradient of the residual w.r.t. (t_x, t_y, r_x, r_y)."""
-    sx = coef.a1 * params.r_x + coef.a2 * params.t_x
-    sy = coef.a3 * params.r_y + coef.a4 * params.t_y
-    return np.array(
-        [2.0 * sx * coef.a2, 2.0 * sy * coef.a4, 2.0 * sx * coef.a1, 2.0 * sy * coef.a3]
-    )
+    _, jac = _residuals_and_jacobian(params.as_array(), np.array([astuple(coef)]), np.ones(1))
+    return jac[0]
 
 
 def _coefficient_matrix(constraints: list[DistanceConstraint]) -> tuple[np.ndarray, np.ndarray]:
@@ -178,6 +177,11 @@ def _coefficient_matrix(constraints: list[DistanceConstraint]) -> tuple[np.ndarr
 def _residuals_and_jacobian(
     theta: np.ndarray, rows: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted constraint values f (N,) and their Jacobian (N, 4).
+
+    ``theta`` is (t_x, t_y, r_x, r_y) and ``rows`` holds a1..a5 per pair;
+    the Jacobian columns follow theta's order.
+    """
     t_x, t_y, r_x, r_y = theta
     sx = rows[:, 0] * r_x + rows[:, 1] * t_x
     sy = rows[:, 2] * r_y + rows[:, 3] * t_y
@@ -194,17 +198,15 @@ def _residuals_and_jacobian(
     return f, jac
 
 
-def _huber_weights(f: np.ndarray, delta: float | None) -> tuple[np.ndarray, float]:
-    """IRLS weights for the Huber loss; delta=None derives a robust scale."""
-    if delta is None:
-        mad = float(np.median(np.abs(f)))
-        delta = 1.345 * mad / 0.6745
+def _huber_weights(f: np.ndarray) -> np.ndarray:
+    """IRLS weights for the Huber loss, threshold from the median absolute residual."""
     absf = np.abs(f)
+    delta = 1.345 * float(np.median(absf)) / 0.6745
     w = np.ones_like(f)
     big = absf > delta
     with np.errstate(divide="ignore", invalid="ignore"):
         w[big] = delta / absf[big]
-    return w, delta
+    return w
 
 
 def _rank_and_condition(jac: np.ndarray) -> tuple[int, bool]:
@@ -213,7 +215,7 @@ def _rank_and_condition(jac: np.ndarray) -> tuple[int, bool]:
         return 0, True
     tol = sv[0] * max(jac.shape) * np.finfo(np.float64).eps
     rank = int((sv > tol).sum())
-    return rank, bool(sv[-1] < 1e-8 * sv[0])
+    return rank, bool(sv[-1] < CONDITION_RATIO * sv[0])
 
 
 def _solve_lm(
@@ -222,24 +224,22 @@ def _solve_lm(
     width: int,
     height: int,
     robust: bool,
-    huber_delta: float | None,
-    config: LMConfig,
 ) -> SolveReport:
     rows, weights = _coefficient_matrix(constraints)
     theta = init.as_array()
-    mu = config.damping_init
+    mu = DAMPING_INIT
     iterations = 0
     converged = False
 
     f, jac = _residuals_and_jacobian(theta, rows, weights)
-    for it in range(config.max_iter):
+    for it in range(MAX_ITER):
         if robust:
-            rw, _ = _huber_weights(f, huber_delta)
+            rw = _huber_weights(f)
             sqrt_w = np.sqrt(rw)
             fw, jw = f * sqrt_w, jac * sqrt_w[:, None]
         else:
             fw, jw = f, jac
-        if float(np.linalg.norm(fw)) < config.tol_abs:
+        if float(np.linalg.norm(fw)) < TOL_ABS:
             converged = True
             break
         iterations = it + 1
@@ -266,13 +266,13 @@ def _solve_lm(
         if accepted:
             theta = candidate
             f, jac = f_new, jac_new
-            mu /= config.damping_factor
-            if float(np.linalg.norm(step)) < config.tol_step:
+            mu /= DAMPING_FACTOR
+            if float(np.linalg.norm(step)) < TOL_STEP:
                 converged = True
                 break
         else:
-            mu *= config.damping_factor
-            if mu > config.damping_max:
+            mu *= DAMPING_FACTOR
+            if mu > DAMPING_MAX:
                 break
 
     rank, condition_warning = _rank_and_condition(jac)
@@ -296,7 +296,6 @@ def solve_minimal(
     width: int,
     height: int,
     init: SolverParams | None = None,
-    config: LMConfig | None = None,
 ) -> SolveReport:
     """Solve intrinsics from exactly 4 distance constraints."""
     if len(constraints) != 4:
@@ -307,8 +306,6 @@ def solve_minimal(
         width,
         height,
         robust=False,
-        huber_delta=None,
-        config=config if config is not None else LMConfig(),
     )
 
 
@@ -318,14 +315,11 @@ def solve_overdetermined(
     height: int,
     init: SolverParams | None = None,
     loss: str = "squared",
-    huber_delta: float | None = None,
-    config: LMConfig | None = None,
 ) -> SolveReport:
     """Solve intrinsics from N >= 4 constraints, optionally Huber-robustified.
 
-    loss="huber" reweights residuals each iteration; ``huber_delta=None``
-    derives the threshold from the median absolute residual, which is the
-    practical choice when the noise scale is unknown.
+    loss="huber" reweights residuals each iteration, with the threshold
+    derived from the median absolute residual, so no noise scale is needed.
     """
     if len(constraints) < 4:
         raise ValueError(f"need at least 4 constraints, got {len(constraints)}")
@@ -337,20 +331,14 @@ def solve_overdetermined(
         width,
         height,
         robust=(loss == "huber"),
-        huber_delta=huber_delta,
-        config=config if config is not None else LMConfig(),
     )
 
 
-def init_ladder(
-    width: int,
-    height: int,
-    fovs_deg: tuple[float, ...] = (45.0, 65.0, 85.0, 105.0),
-) -> list[SolverParams]:
+def init_ladder(width: int, height: int) -> list[SolverParams]:
     """Deterministic grid of initializations spanning per-axis FoV combinations."""
     inits = []
-    for fov_x in fovs_deg:
-        for fov_y in fovs_deg:
+    for fov_x in LADDER_FOVS_DEG:
+        for fov_y in LADDER_FOVS_DEG:
             fx = focal_from_fov(fov_x, width)
             fy = focal_from_fov(fov_y, height)
             inits.append(
@@ -366,33 +354,20 @@ def enumerate_solutions(
     constraints: list[DistanceConstraint],
     width: int,
     height: int,
-    inits: list[SolverParams] | None = None,
-    residual_tol: float = 1e-10,
-    config: LMConfig | None = None,
 ) -> list[SolveReport]:
     """All distinct (near-)exact solutions reachable from a ladder of starts.
 
     Four constraints form a square polynomial system which can have several
     real solutions; this runs the solver from each initialization and
     keeps the distinct endpoints whose scaled residual norm is below
-    ``residual_tol``. Callers should apply their own plausibility prior
+    ``ROOT_RESIDUAL_TOL``. Callers should apply their own plausibility prior
     (FoV range, principal point near the image center) to the result; a
     constraint set is only trustworthy when exactly one solution survives.
     """
-    if inits is None:
-        inits = init_ladder(width, height)
     found: list[SolveReport] = []
-    for init in inits:
-        report = _solve_lm(
-            list(constraints),
-            init,
-            width,
-            height,
-            robust=False,
-            huber_delta=None,
-            config=config if config is not None else LMConfig(),
-        )
-        if report.final_residual_norm >= residual_tol:
+    for init in init_ladder(width, height):
+        report = _solve_lm(list(constraints), init, width, height, robust=False)
+        if report.final_residual_norm >= ROOT_RESIDUAL_TOL:
             continue
         k = report.intrinsics
         duplicate = any(

@@ -1,10 +1,14 @@
 """End-to-end command-line tests exercising files and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import metricshape
 from metricshape import fileio
 from metricshape.camera import DepthMap, Intrinsics
 from metricshape.cli import main
@@ -305,3 +309,20 @@ class TestRefineCommand:
         )
         assert args.weights == [1.0, 10.0, 1.0, 0.5]
         assert args.init_fov == 60.0
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["metricshape", "metricshape.cli"])
+    def test_python_dash_m_runs_the_cli(self, module, scene_file, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(metricshape.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        prefix = str(tmp_path / "m")
+        done = subprocess.run(
+            [sys.executable, "-m", module, "synth", scene_file, "--camera", "3",
+             "--width", "32", "--height", "24", "--out-prefix", prefix],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        depth = fileio.read_depth_pfm(prefix + "_depth.pfm")
+        assert (depth.width, depth.height) == (32, 24)

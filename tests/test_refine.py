@@ -1,5 +1,7 @@
 """Joint depth/intrinsics refinement: line-search contract and convergence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,15 @@ from metricshape.errors import InvalidInitializationError
 from metricshape.incidence import CanonicalCamera, field_from_intrinsics
 from metricshape.losses import LossWeights
 from metricshape.metrics import depth_metrics, fov_error_stats, shape_metrics
-from metricshape.refine import RefineConfig, RefineState, refine_joint, refine_report
-from metricshape.synthetic import Plane, SceneSpec, Sphere, render_depth
+from metricshape.refine import (
+    RefineConfig,
+    RefineState,
+    _constraints_objective,
+    refine_joint,
+    refine_report,
+)
+from metricshape.solver import _coefficient_matrix, _residuals_and_jacobian
+from metricshape.synthetic import Plane, SceneSpec, Sphere, render_depth, sample_constraints
 
 
 W, H = 16, 12
@@ -118,6 +127,34 @@ class TestRefineJoint:
             RefineConfig(supervision="constraints_only")
         with pytest.raises(ValueError):
             RefineConfig(supervision="something_else")
+
+
+class TestConstraintsObjective:
+    """The constraints-only objective is the solver kernel's f @ f, chained into theta."""
+
+    CONS = tuple(sample_constraints(DEPTH_GT, K_GT, 8, rng_seed=3, min_depth_ratio=1.2))
+    # (log fx, log fy, cx, cy) away from the truth, so the gradient is not zero
+    THETA = np.array(
+        [math.log(K_GT.fx) + 0.3, math.log(K_GT.fy) - 0.2, K_GT.cx + 1.5, K_GT.cy - 1.0]
+    )
+
+    def test_loss_is_kernel_sum_of_squares(self):
+        loss, grad_depth, _ = _constraints_objective(self.CONS)(DEPTH_GT.values, self.THETA)
+        r_x, r_y = 1.0 / math.exp(self.THETA[0]), 1.0 / math.exp(self.THETA[1])
+        solver_theta = np.array([self.THETA[2] * r_x, self.THETA[3] * r_y, r_x, r_y])
+        f, _ = _residuals_and_jacobian(solver_theta, *_coefficient_matrix(list(self.CONS)))
+        assert loss == float(f @ f) > 0.0
+        np.testing.assert_array_equal(grad_depth, 0.0)
+
+    def test_theta_gradient_matches_central_differences(self):
+        evaluate = _constraints_objective(self.CONS)
+        _, _, grad = evaluate(DEPTH_GT.values, self.THETA)
+        for j, h in enumerate((1e-6, 1e-6, 1e-4, 1e-4)):
+            tp, tm = self.THETA.copy(), self.THETA.copy()
+            tp[j] += h
+            tm[j] -= h
+            fd = (evaluate(DEPTH_GT.values, tp)[0] - evaluate(DEPTH_GT.values, tm)[0]) / (2 * h)
+            assert grad[j] == pytest.approx(fd, rel=1e-6)
 
 
 class TestRefineReport:

@@ -127,20 +127,16 @@ def _nearest_squared(
         d2 = ((query[:, None, :] - reference[None, :, :]) ** 2).sum(axis=2)
         idx = np.argmin(d2, axis=1)
         return idx, d2[np.arange(len(query)), idx]
-    if method == "kdtree":
-        idx = cKDTree(reference).query(query)[1]
-        diff = query - reference[idx]
-        return idx, (diff * diff).sum(axis=1)
-    raise ValueError(f"unknown nearest-neighbor method {method!r}")
+    idx = cKDTree(reference).query(query)[1]
+    diff = query - reference[idx]
+    return idx, (diff * diff).sum(axis=1)
 
 
-def _pick_method(method: str, n: int, m: int) -> str:
-    if method != "auto":
-        return method
+def _pick_method(n: int, m: int) -> str:
     return "bruteforce" if max(n, m) <= BRUTE_FORCE_LIMIT else "kdtree"
 
 
-def chamfer_distance(p: PointCloud, q: PointCloud, method: str = "auto") -> LossValue:
+def chamfer_distance(p: PointCloud, q: PointCloud) -> LossValue:
     """Symmetric mean of squared nearest-neighbor distances between clouds.
 
     value = (1/|P|) sum_p min_q |p-q|^2 + (1/|Q|) sum_q min_p |q-p|^2.
@@ -151,7 +147,7 @@ def chamfer_distance(p: PointCloud, q: PointCloud, method: str = "auto") -> Loss
     if len(p) == 0 or len(q) == 0:
         raise EmptyCloudError("chamfer distance needs two non-empty clouds")
     pa, qa = p.points, q.points
-    chosen = _pick_method(method, len(p), len(q))
+    chosen = _pick_method(len(p), len(q))
     idx_pq, d2_pq = _nearest_squared(pa, qa, chosen)
     idx_qp, d2_qp = _nearest_squared(qa, pa, chosen)
     value = float(d2_pq.mean()) + float(d2_qp.mean())
@@ -171,7 +167,6 @@ def total_loss(
     cano_field: IncidenceField,
     gt_field: IncidenceField,
     weights: LossWeights = LossWeights(),
-    chamfer_method: str = "auto",
 ) -> LossValue:
     """alpha*silog + beta*cosine + gamma*chamfer between the induced clouds.
 
@@ -190,7 +185,7 @@ def total_loss(
         composed = compose_residual(res_field, cano_field)
         cloud_pred = unproject_with_field(composed, pred_depth)
         cloud_gt = unproject_with_field(gt_field, gt_depth)
-        cham = chamfer_distance(cloud_pred, cloud_gt, method=chamfer_method)
+        cham = chamfer_distance(cloud_pred, cloud_gt)
         value += weights.gamma * cham.value
 
         m = pred_depth.valid

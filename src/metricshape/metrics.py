@@ -106,37 +106,25 @@ def fov_error_stats(
     )
 
 
-def f1_at_threshold(p: PointCloud, q: PointCloud, tau: float, method: str = "auto") -> float:
+def f1_at_threshold(p: PointCloud, q: PointCloud, tau: float) -> float:
     """Point-cloud F1: harmonic mean of precision and recall at radius tau.
 
     Precision is the fraction of P within tau meters of some point of Q,
     recall the fraction of Q within tau of some point of P; matching runs
     in raw metric coordinates (no cloud normalization).
     """
-    if len(p) == 0 or len(q) == 0:
-        raise EmptyCloudError("F1 needs two non-empty clouds")
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    chosen = _pick_method(method, len(p), len(q))
-    d2_pq = _nearest_squared(p.points, q.points, chosen)[1]
-    d2_qp = _nearest_squared(q.points, p.points, chosen)[1]
-    precision = float((d2_pq <= tau * tau).mean())
-    recall = float((d2_qp <= tau * tau).mean())
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return shape_metrics(p, q, (tau,)).f1[float(tau)]
 
 
 def shape_metrics(
     p: PointCloud,
     q: PointCloud,
     thresholds: Sequence[float] = DEFAULT_F1_THRESHOLDS,
-    method: str = "auto",
 ) -> ShapeMetrics:
     """F1 across thresholds plus the Chamfer distance, sharing one NN pass."""
     if len(p) == 0 or len(q) == 0:
         raise EmptyCloudError("shape metrics need two non-empty clouds")
-    chosen = _pick_method(method, len(p), len(q))
+    chosen = _pick_method(len(p), len(q))
     d2_pq = _nearest_squared(p.points, q.points, chosen)[1]
     d2_qp = _nearest_squared(q.points, p.points, chosen)[1]
     f1 = {}

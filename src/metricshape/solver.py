@@ -11,19 +11,24 @@ turns each constraint into one polynomial equation
     (a1*r_x + a2*t_x)^2 + (a3*r_y + a4*t_y)^2 + a5 = 0
 
 with per-pair constants a1 = d1*u1 - d2*u2, a2 = a4 = d2 - d1,
-a3 = d1*v1 - d2*v2, a5 = (d1 - d2)^2 - L^2. Four pairs determine the four
-unknowns (a minimal problem); the sum of squared equation values is
-minimized with Levenberg-Marquardt and the intrinsics are read back via
-fx = 1/r_x, fy = 1/r_y, cx = t_x/r_x, cy = t_y/r_y.
+a3 = d1*v1 - d2*v2, a5 = (d1 - d2)^2 - L^2; then fx = 1/r_x, fy = 1/r_y,
+cx = t_x/r_x, cy = t_y/r_y. Because a2 = a4, each equation is linear in
+m = (r_x^2, r_x*t_x, r_y^2, r_y*t_y, t_x^2 + t_y^2). Four pairs (the minimal
+problem) leave a line m0 + lambda*n, on which cameras satisfy
+m5*m1*m3 = m2^2*m3 + m4^2*m1: a cubic in lambda whose real roots with
+m1, m3 > 0 are every exact solution. More pairs, the Huber loss and the
+polish of a minimal root minimize the sum of squared equation values with
+Levenberg-Marquardt.
 
 Each equation is divided by L^2 before stacking so the system is
 dimensionless and large-L constraints do not dominate.
 
 Degeneracy: when every pair has d1 == d2 the a2, a4 coefficients vanish
 and t_x, t_y drop out of every equation, so the principal point is
-unobservable. Exact rank loss of the Jacobian raises
-DegenerateConstraintsError; a merely ill-conditioned Jacobian sets
-``condition_warning`` on the report.
+unobservable; coplanar points likewise leave a family of cameras. Exact
+rank loss of the monomial system (four pairs) or of the Jacobian (more
+pairs) raises DegenerateConstraintsError; a merely ill-conditioned
+Jacobian sets ``condition_warning`` on the report.
 """
 
 from __future__ import annotations
@@ -38,18 +43,19 @@ from .errors import DegenerateConstraintsError, InfeasibleConstraintError
 
 # Levenberg-Marquardt schedule. Convergence is declared when the scaled
 # residual norm drops below TOL_ABS or an accepted step is shorter than
-# TOL_STEP; the solve gives up when the damping exceeds DAMPING_MAX.
+# TOL_STEP; the solve stops when the damping exceeds DAMPING_MAX, converged
+# if every gradient component |J_j^T f| is below TOL_GRAD * |J_j| * |f|.
 DAMPING_INIT = 1e-3
 DAMPING_FACTOR = 10.0
 DAMPING_MAX = 1e16
 MAX_ITER = 200
 TOL_ABS = 1e-14
 TOL_STEP = 1e-12
+TOL_GRAD = 1e-6
 # smallest-to-largest singular value ratio below which a solve is flagged
 CONDITION_RATIO = 1e-8
-# enumerate_solutions keeps endpoints whose scaled residual norm is below this
+# enumerate_solutions keeps roots whose scaled residual norm is below this
 ROOT_RESIDUAL_TOL = 1e-10
-LADDER_FOVS_DEG = (45.0, 65.0, 85.0, 105.0)
 
 
 @dataclass(frozen=True)
@@ -273,6 +279,8 @@ def _solve_lm(
         else:
             mu *= DAMPING_FACTOR
             if mu > DAMPING_MAX:
+                bound = TOL_GRAD * np.linalg.norm(jw, axis=0) * np.linalg.norm(fw)
+                converged = bool(np.all(np.abs(grad) <= bound))
                 break
 
     rank, condition_warning = _rank_and_condition(jac)
@@ -291,22 +299,53 @@ def _solve_lm(
     )
 
 
+def _minimal_roots(constraints: list[DistanceConstraint]) -> list[SolverParams]:
+    """Every real solution of exactly four constraints, from the monomial cubic."""
+    if len(constraints) != 4:
+        raise ValueError(f"minimal solve needs exactly 4 constraints, got {len(constraints)}")
+    rows, weights = _coefficient_matrix(constraints)
+    a1, a2, a3, _, a5 = rows.T
+    mono = np.stack([a1 * a1, 2.0 * a1 * a2, a3 * a3, 2.0 * a3 * a2, a2 * a2], 1) * weights[:, None]
+    scale = np.linalg.norm(mono, axis=0)
+    scale[scale == 0.0] = 1.0
+    mono /= scale
+    rank, _ = _rank_and_condition(mono)
+    if rank < 4:
+        raise DegenerateConstraintsError(
+            "constraint set leaves some intrinsic parameters unobservable (monomial "
+            f"system rank {rank} < 4; e.g. coplanar points or all pairs at equal depths)"
+        )
+    m0 = np.linalg.lstsq(mono, -a5 * weights, rcond=None)[0] / scale
+    n = np.linalg.svd(mono)[2][-1] / scale
+    m1, m2, m3, m4, m5 = (np.array([nj, mj]) for nj, mj in zip(n, m0))
+    mul = np.polymul
+    cubic = np.polysub(mul(mul(m5, m1), m3), np.polyadd(mul(mul(m2, m2), m3), mul(mul(m4, m4), m1)))
+    roots = []
+    for lam in np.roots(cubic):
+        m = m0 + lam.real * n
+        if lam.imag == 0.0 and m[0] > 0.0 and m[2] > 0.0:
+            r_x, r_y = math.sqrt(m[0]), math.sqrt(m[2])
+            roots.append(SolverParams(t_x=m[1] / r_x, t_y=m[3] / r_y, r_x=r_x, r_y=r_y))
+    return roots
+
+
 def solve_minimal(
     constraints: list[DistanceConstraint],
     width: int,
     height: int,
     init: SolverParams | None = None,
 ) -> SolveReport:
-    """Solve intrinsics from exactly 4 distance constraints."""
-    if len(constraints) != 4:
-        raise ValueError(f"minimal solve needs exactly 4 constraints, got {len(constraints)}")
-    return _solve_lm(
-        list(constraints),
-        init if init is not None else canonical_params(width, height),
-        width,
-        height,
-        robust=False,
-    )
+    """Solve intrinsics from exactly 4 distance constraints.
+
+    Polishes the exact solution nearest ``init`` (the canonical prior by
+    default; t compared absolutely, r relatively) with Levenberg-Marquardt,
+    or starts from ``init`` when no camera satisfies all four exactly.
+    """
+    init = init if init is not None else canonical_params(width, height)
+    theta0, unit = init.as_array(), np.array([1.0, 1.0, init.r_x, init.r_y])
+    roots = _minimal_roots(constraints)
+    start = min(roots, key=lambda p: np.linalg.norm((p.as_array() - theta0) / unit), default=init)
+    return _solve_lm(list(constraints), start, width, height, robust=False)
 
 
 def solve_overdetermined(
@@ -334,49 +373,24 @@ def solve_overdetermined(
     )
 
 
-def init_ladder(width: int, height: int) -> list[SolverParams]:
-    """Deterministic grid of initializations spanning per-axis FoV combinations."""
-    inits = []
-    for fov_x in LADDER_FOVS_DEG:
-        for fov_y in LADDER_FOVS_DEG:
-            fx = focal_from_fov(fov_x, width)
-            fy = focal_from_fov(fov_y, height)
-            inits.append(
-                SolverParams(
-                    t_x=(width / 2.0) / fx, t_y=(height / 2.0) / fy,
-                    r_x=1.0 / fx, r_y=1.0 / fy,
-                )
-            )
-    return inits
-
-
 def enumerate_solutions(
     constraints: list[DistanceConstraint],
     width: int,
     height: int,
 ) -> list[SolveReport]:
-    """All distinct (near-)exact solutions reachable from a ladder of starts.
+    """Every exact solution of 4 constraints: the admissible real roots of one
+    cubic whose scaled residual norm is below ``ROOT_RESIDUAL_TOL``.
 
-    Four constraints form a square polynomial system which can have several
-    real solutions; this runs the solver from each initialization and
-    keeps the distinct endpoints whose scaled residual norm is below
-    ``ROOT_RESIDUAL_TOL``. Callers should apply their own plausibility prior
-    (FoV range, principal point near the image center) to the result; a
-    constraint set is only trustworthy when exactly one solution survives.
+    Callers should apply their own plausibility prior (FoV range, principal
+    point near the image center) to the result; a constraint set is only
+    trustworthy when exactly one solution survives.
     """
-    found: list[SolveReport] = []
-    for init in init_ladder(width, height):
-        report = _solve_lm(list(constraints), init, width, height, robust=False)
-        if report.final_residual_norm >= ROOT_RESIDUAL_TOL:
-            continue
-        k = report.intrinsics
-        duplicate = any(
-            math.isclose(k.fx, other.intrinsics.fx, rel_tol=1e-5)
-            and math.isclose(k.fy, other.intrinsics.fy, rel_tol=1e-5)
-            and math.isclose(k.cx, other.intrinsics.cx, rel_tol=1e-5, abs_tol=1e-6)
-            and math.isclose(k.cy, other.intrinsics.cy, rel_tol=1e-5, abs_tol=1e-6)
-            for other in found
-        )
-        if not duplicate:
-            found.append(report)
+    rows, weights = _coefficient_matrix(constraints)
+    found = []
+    for root in _minimal_roots(constraints):
+        f, jac = _residuals_and_jacobian(root.as_array(), rows, weights)
+        norm = float(np.linalg.norm(f))
+        if norm < ROOT_RESIDUAL_TOL:
+            ill = _rank_and_condition(jac)[1]
+            found.append(SolveReport(root.to_intrinsics(width, height), norm, 0, True, ill))
     return found

@@ -1,4 +1,5 @@
-"""Shared fixtures plus session timing for the suite-runtime criterion.
+"""The multi-primitive scene shared by several modules, plus session timing
+for the suite-runtime criterion.
 
 The ``montecarlo`` marker tags statistical tests that repeat many seeded
 trials; their wall time is tracked separately so the runtime budget check
@@ -9,7 +10,21 @@ import time
 
 import pytest
 
+from metricshape.synthetic import Box, Plane, SceneSpec, Sphere
+
 SESSION = {"start": 0.0, "montecarlo_seconds": 0.0}
+
+# depth varies across the view and across primitives, so sampled pixel
+# pairs span a genuinely 3D configuration (a single plane would leave a
+# one-parameter family of intrinsics consistent with any distance set)
+RICH_SCENE = SceneSpec(
+    (
+        Plane(point=(0.0, 0.0, 4.0), normal=(0.3, 0.55, -1.0)),
+        Sphere(center=(0.5, -0.3, 2.8), radius=0.75),
+        Sphere(center=(-0.8, 0.5, 3.6), radius=0.6),
+        Box(min_corner=(-0.3, -1.2, 1.8), max_corner=(0.8, -0.5, 2.6)),
+    )
+)
 
 
 def pytest_sessionstart(session):

@@ -56,7 +56,6 @@ from metricshape.solver import (
     coefficients_from_constraint,
     constraint_residual,
     enumerate_solutions,
-    init_ladder,
     solve_minimal,
     solve_overdetermined,
 )
@@ -75,17 +74,7 @@ from metricshape import fileio
 
 W, H = 320, 240
 
-# depth varies across the view and across primitives, so sampled pixel
-# pairs span a genuinely 3D configuration (a single plane would leave a
-# one-parameter family of intrinsics consistent with any distance set)
-RICH_SCENE = SceneSpec(
-    (
-        Plane(point=(0.0, 0.0, 4.0), normal=(0.3, 0.55, -1.0)),
-        Sphere(center=(0.5, -0.3, 2.8), radius=0.75),
-        Sphere(center=(-0.8, 0.5, 3.6), radius=0.6),
-        Box(min_corner=(-0.3, -1.2, 1.8), max_corner=(0.8, -0.5, 2.6)),
-    )
-)
+RICH_SCENE = conftest.RICH_SCENE
 
 
 def report(num, ok, detail):
@@ -111,6 +100,23 @@ def consistent(k, holdout, tol=1e-8):
         abs(constraint_residual(coefficients_from_constraint(c), params)) / c.distance**2 <= tol
         for c in holdout
     )
+
+
+def init_ladder(width, height):
+    """Criterion 1's starts after the canonical prior: each pair of per-axis
+    FoVs from 45/65/85/105 degrees with the principal point centered."""
+    inits = []
+    for fov_x in (45.0, 65.0, 85.0, 105.0):
+        for fov_y in (45.0, 65.0, 85.0, 105.0):
+            fx = focal_from_fov(fov_x, width)
+            fy = focal_from_fov(fov_y, height)
+            inits.append(
+                SolverParams(
+                    t_x=(width / 2.0) / fx, t_y=(height / 2.0) / fy,
+                    r_x=1.0 / fx, r_y=1.0 / fy,
+                )
+            )
+    return inits
 
 
 def well_posed_constraint_set(depth, k, seed):

@@ -95,6 +95,15 @@ class TestCalibrate:
         assert got.cx == pytest.approx(truth.cx, rel=1e-6)
         assert got.cy == pytest.approx(truth.cy, rel=1e-6)
 
+    def test_noisy_pairs_exit_zero(self, scene_file, tmp_path, capsys):
+        """Twelve pairs with 1 % distance noise: the solve stalls at a
+        stationary point with a non-zero residual, which is convergence."""
+        depth, _, cons = synth(scene_file, tmp_path, camera=0, constraints=12, seed=2, noise=0.01)
+        assert main(["calibrate", depth, cons]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is True
+        assert report["final_residual_norm"] > 1e-6
+
     def test_equal_depth_constraints_exit_degenerate(self, tmp_path):
         k = Intrinsics(fx=100.0, fy=100.0, cx=32.0, cy=24.0, width=64, height=48)
         depth = render_depth(SceneSpec((Plane(point=(0, 0, 2.0), normal=(0, 0, -1.0)),)), k)

@@ -16,6 +16,7 @@ from metricshape.incidence import (
 )
 from metricshape.losses import (
     LossWeights,
+    _nearest_squared,
     chamfer_distance,
     cosine_incidence_loss,
     silog_loss,
@@ -163,9 +164,11 @@ class TestChamfer:
         for n, m in ((30, 50), (400, 380), (700, 650)):
             p = PointCloud(rng.uniform(-2, 2, (n, 3)))
             q = PointCloud(rng.uniform(-2, 2, (m, 3)))
-            brute = chamfer_distance(p, q, method="bruteforce").value
-            tree = chamfer_distance(p, q, method="kdtree").value
-            assert tree == brute
+            for query, reference in ((p.points, q.points), (q.points, p.points)):
+                brute_idx, brute_d2 = _nearest_squared(query, reference, "bruteforce")
+                tree_idx, tree_d2 = _nearest_squared(query, reference, "kdtree")
+                np.testing.assert_array_equal(tree_idx, brute_idx)
+                np.testing.assert_array_equal(tree_d2, brute_d2)
 
     def test_empty_cloud(self):
         p = PointCloud(np.zeros((0, 3)))

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import RICH_SCENE
 from metricshape.camera import Intrinsics, project_point, unproject_pixel
 from metricshape.errors import DegenerateConstraintsError, InfeasibleConstraintError
 from metricshape.solver import (
@@ -24,6 +25,7 @@ from metricshape.solver import (
     solve_minimal,
     solve_overdetermined,
 )
+from metricshape.synthetic import make_camera, render_depth, sample_constraints
 
 GT = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -35,6 +37,19 @@ def constraint_from_points(k, p1, p2):
     return DistanceConstraint(
         u1=u1, v1=v1, u2=u2, v2=v2, d1=p1[2], d2=p2[2],
         distance=math.dist(p1, p2),
+    )
+
+
+def scene_pairs(camera_seed, n, rng_seed, center_jitter=0.0):
+    """n pairs sampled from the multi-primitive scene at 640x480."""
+    k = make_camera(camera_seed, 640, 480, center_jitter=center_jitter)
+    return k, sample_constraints(render_depth(RICH_SCENE, k), k, n, rng_seed=rng_seed)
+
+
+def same_camera(a, b, rel):
+    return all(
+        getattr(a, name) == pytest.approx(getattr(b, name), rel=rel)
+        for name in ("fx", "fy", "cx", "cy")
     )
 
 
@@ -189,6 +204,19 @@ class TestSolveMinimal:
         with pytest.raises(DegenerateConstraintsError):
             solve_minimal(cons, 640, 480)
 
+    def test_each_root_is_kept_from_a_start_at_it(self):
+        """The polish runs from the exact root nearest the start, so starting
+        on either of two roots returns that root."""
+        _, cons = scene_pairs(117, 4, rng_seed=117)
+        roots = enumerate_solutions(cons, 640, 480)
+        assert len(roots) == 2
+        assert not same_camera(roots[0].intrinsics, roots[1].intrinsics, rel=1e-3)
+        for root in roots:
+            init = SolverParams.from_intrinsics(root.intrinsics)
+            report = solve_minimal(cons, 640, 480, init=init)
+            assert report.converged
+            assert same_camera(report.intrinsics, root.intrinsics, rel=1e-9)
+
     def test_reprojection_closure(self):
         """Unprojecting the constraint pixels with the recovered intrinsics
         reproduces each stated separation."""
@@ -244,6 +272,18 @@ class TestSolveOverdetermined:
             assert k.cx == pytest.approx(base.cx, rel=1e-8)
             assert k.cy == pytest.approx(base.cy, rel=1e-8)
 
+    def test_noisy_pairs_converge(self):
+        """With 1 % distance noise the residual cannot vanish; LM stalls at
+        a stationary point of the cost, which counts as converged."""
+        rng = np.random.default_rng(1)
+        cons = [
+            dataclasses.replace(c, distance=c.distance * (1.0 + 0.01 * rng.standard_normal()))
+            for c in random_exact_constraints(GT, 12, seed=1)
+        ]
+        report = solve_overdetermined(cons, 640, 480)
+        assert report.final_residual_norm > 1e-6
+        assert report.converged
+
     def test_unknown_loss_rejected(self):
         cons = random_exact_constraints(GT, 4, seed=2)
         with pytest.raises(ValueError):
@@ -263,3 +303,23 @@ class TestEnumerateSolutions:
         assert hit
         for s in sols:
             assert s.final_residual_norm < 1e-10
+
+    def test_contains_ground_truth_on_camera_117(self):
+        """A non-coplanar scene set on which starting LM from a ladder of
+        per-axis FoVs finds no root; the cubic finds both."""
+        k, cons = scene_pairs(117, 4, rng_seed=117)
+        sols = enumerate_solutions(cons, 640, 480)
+        assert any(same_camera(s.intrinsics, k, rel=1e-6) for s in sols)
+
+    def test_coplanar_points_are_degenerate(self):
+        _, cons = scene_pairs(1, 4, rng_seed=1, center_jitter=20.0)
+        with pytest.raises(DegenerateConstraintsError):
+            enumerate_solutions(cons, 640, 480)
+        with pytest.raises(DegenerateConstraintsError):
+            solve_minimal(cons, 640, 480)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_requires_exactly_four(self, n):
+        cons = random_exact_constraints(GT, n, seed=1)
+        with pytest.raises(ValueError):
+            enumerate_solutions(cons, 640, 480)

@@ -16,6 +16,8 @@ structure:
 from __future__ import annotations
 
 import json
+import math
+import os
 from typing import IO, Any
 
 import numpy as np
@@ -64,14 +66,22 @@ def _read_pfm_tokens(stream: IO[bytes]) -> tuple[bytes, int, int, float]:
     return magic, width, height, scale
 
 
+def _check_payload_fits(stream: IO[bytes], declared: int, what: str) -> None:
+    """Reject a header whose payload cannot fit in the rest of the file, before reading it."""
+    remaining = os.fstat(stream.fileno()).st_size - stream.tell()
+    if declared > remaining:
+        raise DocumentError(
+            f"{what}: header needs {declared} payload bytes, the file holds {remaining}"
+        )
+
+
 def _read_pfm_payload(stream: IO[bytes]) -> np.ndarray:
     magic, width, height, scale = _read_pfm_tokens(stream)
     channels = 3 if magic == b"PF" else 1
     count = width * height * channels
     dtype = "<f4" if scale < 0 else ">f4"
+    _check_payload_fits(stream, 4 * count, "PFM")
     raw = stream.read(4 * count)
-    if len(raw) != 4 * count:
-        raise DocumentError("truncated PFM payload")
     data = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     shape = (height, width) if channels == 1 else (height, width, 3)
     return np.flipud(data.reshape(shape)).copy()
@@ -107,8 +117,26 @@ def read_field_pfm(path: str) -> IncidenceField:
 # ---------------------------------------------------------------------------
 # PLY
 
+# Rows formatted per block; bounds the text array to ~3 MB for any cloud size.
+_PLY_BLOCK_ROWS = 8192
+
+
 def _float32_text(value: float) -> str:
     return np.format_float_positional(np.float32(value), unique=True, trim="0")
+
+
+def _ply_ascii_lines(block: np.ndarray) -> str:
+    """Vertex lines of a block of rows, each value as `_float32_text` prints it.
+
+    `astype(str)` prints the same shortest float32 digits but switches to
+    exponent form outside [1e-4, 1e16); those cells are reformatted in the
+    `tolist()` rows, not in the fixed-width array, which would truncate them.
+    """
+    text = block.astype(np.float32).astype(str)
+    rows = text.tolist()
+    for i, j in zip(*np.nonzero(np.char.find(text, "e") >= 0)):
+        rows[i][j] = _float32_text(block[i, j])
+    return "".join(f"{x} {y} {z}\n" for x, y, z in rows)
 
 
 def write_ply(path: str, cloud: PointCloud, binary: bool = False) -> None:
@@ -127,9 +155,10 @@ def write_ply(path: str, cloud: PointCloud, binary: bool = False) -> None:
         if binary:
             stream.write(cloud.points.astype("<f4").tobytes())
         else:
-            for x, y, z in cloud.points:
-                line = f"{_float32_text(x)} {_float32_text(y)} {_float32_text(z)}\n"
-                stream.write(line.encode("ascii"))
+            points = cloud.points
+            for start in range(0, len(points), _PLY_BLOCK_ROWS):
+                block = points[start:start + _PLY_BLOCK_ROWS]
+                stream.write(_ply_ascii_lines(block).encode("ascii"))
 
 
 def read_ply(path: str) -> PointCloud:
@@ -154,6 +183,8 @@ def read_ply(path: str) -> PointCloud:
                 if parts[1] != b"vertex":
                     raise DocumentError(f"{path}: only vertex elements are supported")
                 count = int(parts[2])
+                if count < 0:
+                    raise DocumentError(f"{path}: negative vertex count {count}")
             elif parts[0] == b"property":
                 if parts[1] != b"float":
                     raise DocumentError(f"{path}: only float properties are supported")
@@ -163,11 +194,12 @@ def read_ply(path: str) -> PointCloud:
         if count is None or properties != [b"x", b"y", b"z"]:
             raise DocumentError(f"{path}: expected exactly float x, y, z vertex properties")
         if fmt == b"binary_little_endian":
+            _check_payload_fits(stream, 12 * count, path)
             raw = stream.read(12 * count)
-            if len(raw) != 12 * count:
-                raise DocumentError(f"{path}: truncated PLY payload")
             points = np.frombuffer(raw, dtype="<f4").reshape(count, 3).astype(np.float64)
         else:
+            # the shortest vertex line is "0 0 0\n"; the last may lack its newline
+            _check_payload_fits(stream, 6 * count - 1, path)
             points = np.empty((count, 3))
             for i in range(count):
                 line = stream.readline()
@@ -253,6 +285,8 @@ def write_constraints(path: str, constraints: list[DistanceConstraint]) -> None:
 
 
 def _depth_at_pixel(depth: DepthMap, u: float, v: float, where: str) -> float:
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise DocumentError(f"{where}: pixel ({u}, {v}) must have finite coordinates")
     iu, iv = int(u), int(v)
     if iu != u or iv != v:
         raise DocumentError(

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .camera import DepthMap, PointCloud
 from .errors import EmptyCloudError, EmptyOverlapError, ShapeMismatchError
@@ -127,6 +126,9 @@ def _nearest_squared(
         d2 = ((query[:, None, :] - reference[None, :, :]) ** 2).sum(axis=2)
         idx = np.argmin(d2, axis=1)
         return idx, d2[np.arange(len(query)), idx]
+    # imported here so that commands without an NN search never load scipy
+    from scipy.spatial import cKDTree
+
     idx = cKDTree(reference).query(query)[1]
     diff = query - reference[idx]
     return idx, (diff * diff).sum(axis=1)

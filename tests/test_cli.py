@@ -46,6 +46,14 @@ def synth(scene_file, tmp_path, prefix="demo", **over):
     )
 
 
+def package_env():
+    """The environment for a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(metricshape.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestSynth:
     def test_outputs_exist_and_are_deterministic(self, scene_file, tmp_path):
         a = synth(scene_file, tmp_path, "a")
@@ -139,6 +147,23 @@ class TestCalibrate:
         ]))
         assert main(["calibrate", depth, str(bad)]) == 1
         assert "record 2" in capsys.readouterr().err
+
+    def test_non_finite_pixel_is_input_error(self, scene_file, tmp_path):
+        """A pixel coordinate of 1e400 (inf once parsed) whose depth must be
+        read from the map ends in exit 1 with a message, not a traceback."""
+        depth, _, cons = synth(scene_file, tmp_path, width=64, height=48)
+        records = json.loads(open(cons).read())
+        records[0]["u1"] = "HUGE"
+        del records[0]["d1"]
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(records).replace('"HUGE"', "1e400"))
+        done = subprocess.run(
+            [sys.executable, "-m", "metricshape", "calibrate", depth, str(bad)],
+            env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "error:" in done.stderr and "record 0" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_fewer_than_four_constraints_is_input_error(self, scene_file, tmp_path):
         depth, _, _ = synth(scene_file, tmp_path)
@@ -323,15 +348,42 @@ class TestRefineCommand:
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["metricshape", "metricshape.cli"])
     def test_python_dash_m_runs_the_cli(self, module, scene_file, tmp_path):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(metricshape.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         prefix = str(tmp_path / "m")
         done = subprocess.run(
             [sys.executable, "-m", module, "synth", scene_file, "--camera", "3",
              "--width", "32", "--height", "24", "--out-prefix", prefix],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=package_env(), capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         depth = fileio.read_depth_pfm(prefix + "_depth.pfm")
         assert (depth.width, depth.height) == (32, 24)
+
+
+class TestColdImport:
+    def test_commands_without_nn_search_never_load_scipy(self, scene_file, tmp_path):
+        """`synth` in a fresh interpreter loads no scipy module; the NN search
+        behind Chamfer still works afterwards (it imports scipy itself) and
+        matches an all-pairs search on clouds above the k-d tree cut-off."""
+        script = f"""
+import json, sys
+import numpy as np
+import metricshape, metricshape.cli
+code = metricshape.cli.main(["synth", {scene_file!r}, "--camera", "3", "--width", "32",
+                             "--height", "24", "--out-prefix", {str(tmp_path / "cold")!r}])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+rng = np.random.default_rng(0)
+p, q = rng.uniform(-1, 1, (600, 3)), rng.uniform(-1, 1, (600, 3))
+value = metricshape.chamfer_distance(metricshape.PointCloud(p), metricshape.PointCloud(q)).value
+d2 = ((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)
+expected = float(d2.min(axis=1).mean()) + float(d2.min(axis=0).mean())
+print(json.dumps({{"code": code, "loaded": loaded, "value": value, "expected": expected,
+                  "spatial": "scipy.spatial" in sys.modules}}))
+"""
+        done = subprocess.run([sys.executable, "-c", script], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        assert result["code"] == 0
+        assert result["loaded"] == []
+        assert result["spatial"]
+        assert result["value"] == pytest.approx(result["expected"], rel=1e-12)

@@ -66,8 +66,62 @@ class TestPfm:
         with pytest.raises(DocumentError):
             fileio.read_depth_pfm(path)
 
+    @pytest.mark.parametrize("magic, read", [(b"Pf", fileio.read_depth_pfm),
+                                             (b"PF", fileio.read_field_pfm)])
+    def test_header_larger_than_file_is_rejected_before_reading(self, tmp_path, magic, read):
+        path = str(tmp_path / "short.pfm")
+        with open(path, "wb") as f:
+            f.write(magic + b"\n64 48\n-1.0\n")
+            f.write(b"\x00" * 10)
+        channels = 3 if magic == b"PF" else 1
+        with pytest.raises(DocumentError, match=f"header needs {4 * 64 * 48 * channels} payload"):
+            read(path)
+
+
+def float32_reference_text(value: float) -> str:
+    """Shortest positional float32 text, one value at a time."""
+    return np.format_float_positional(np.float32(value), unique=True, trim="0")
+
+
+def float32_edge_values() -> np.ndarray:
+    """±m·2^e for every float32 exponent, subnormals included, plus the values
+    where `str(np.float32)` switches to exponent form."""
+    values = [0.0, -0.0, 1e-45, 9e-05, 1e-4, 1e16, 3.4e38]
+    for e in range(-149, 128):
+        for m in (1.0, 1.1, 1.5, 1.9999999):
+            values.append(m * 2.0**e)
+    for edge in (1e-4, 1e16):
+        f = np.float32(edge)
+        values += [np.nextafter(f, np.float32(0)), np.nextafter(f, np.float32(np.inf))]
+    values = np.array(values, dtype=np.float32)
+    return np.concatenate([values, -values])
+
 
 class TestPly:
+    @pytest.mark.parametrize("size", ["0", "1", "B-1", "B", "B+1"])
+    def test_ascii_bytes_match_per_value_formatting(self, tmp_path, size):
+        """Every value is written as its shortest positional float32 text,
+        and read back bit for bit, at cloud sizes around the writer's block
+        size B (exponent-form values land in every block)."""
+        b = fileio._PLY_BLOCK_ROWS
+        n = {"0": 0, "1": 1, "B-1": b - 1, "B": b, "B+1": b + 1}[size]
+        values = float32_edge_values()
+        # the last row holds the smallest subnormal, which a truncating writer garbles
+        flat = np.resize(values, 3 * n)
+        if n:
+            flat[-3:] = [1e-45, 3.4e38, -1e16]
+        points = flat.reshape(n, 3).astype(np.float64)
+        path = str(tmp_path / "edge.ply")
+        fileio.write_ply(path, PointCloud(points))
+
+        expected = "".join(
+            " ".join(float32_reference_text(v) for v in row) + "\n" for row in points
+        )
+        payload = open(path, "rb").read().split(b"end_header\n", 1)[1]
+        assert payload == expected.encode("ascii")
+        back = fileio.read_ply(path).points.astype(np.float32)
+        np.testing.assert_array_equal(back.view(np.uint32), points.astype(np.float32).view(np.uint32))
+
     def test_ascii_round_trip_is_float32_exact(self, tmp_path):
         rng = np.random.default_rng(2)
         cloud = PointCloud(rng.uniform(-10, 10, (37, 3)))
@@ -115,6 +169,37 @@ class TestPly:
                     b"property float x\nproperty float y\nend_header\n0 0\n")
         with pytest.raises(DocumentError):
             fileio.read_ply(path)
+
+    @staticmethod
+    def write_raw(path, fmt: bytes, count: int, payload: bytes) -> None:
+        with open(path, "wb") as f:
+            f.write(b"ply\nformat " + fmt + b" 1.0\nelement vertex %d\n" % count
+                    + b"property float x\nproperty float y\nproperty float z\nend_header\n"
+                    + payload)
+
+    def test_binary_count_larger_than_file_is_rejected_before_reading(self, tmp_path):
+        path = str(tmp_path / "short.ply")
+        self.write_raw(path, b"binary_little_endian", 100, np.zeros((5, 3), "<f4").tobytes())
+        with pytest.raises(DocumentError, match="header needs 1200 payload bytes"):
+            fileio.read_ply(path)
+
+    def test_ascii_count_larger_than_file_is_rejected_before_reading(self, tmp_path):
+        path = str(tmp_path / "short.ply")
+        self.write_raw(path, b"ascii", 100, b"1 2 3\n" * 5)
+        with pytest.raises(DocumentError, match="header needs 599 payload bytes"):
+            fileio.read_ply(path)
+
+    @pytest.mark.parametrize("fmt", [b"ascii", b"binary_little_endian"])
+    def test_negative_count_is_rejected(self, tmp_path, fmt):
+        path = str(tmp_path / "neg.ply")
+        self.write_raw(path, fmt, -1, np.zeros((2, 3), "<f4").tobytes())
+        with pytest.raises(DocumentError, match="negative"):
+            fileio.read_ply(path)
+
+    def test_ascii_shortest_lines_without_final_newline_are_read(self, tmp_path):
+        path = str(tmp_path / "tight.ply")
+        self.write_raw(path, b"ascii", 2, b"0 0 0\n1 2 3")
+        np.testing.assert_array_equal(fileio.read_ply(path).points, [[0, 0, 0], [1, 2, 3]])
 
 
 class TestIntrinsicsDocument:

@@ -49,6 +49,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         fileio.write_intrinsics(args.out, report.intrinsics)
     doc = {
         "converged": report.converged,
+        "stop_reason": report.stop_reason,
         "iterations": report.iterations,
         "final_residual_norm": report.final_residual_norm,
         "condition_warning": report.condition_warning,

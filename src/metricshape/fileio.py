@@ -177,12 +177,17 @@ def read_ply(path: str) -> PointCloud:
             if line == b"end_header":
                 break
             parts = line.split()
+            if not parts or (parts[0] in (b"format", b"element", b"property") and len(parts) < 3):
+                raise DocumentError(f"{path}: malformed PLY header line {line!r}")
             if parts[0] == b"format":
                 fmt = parts[1]
             elif parts[0] == b"element":
                 if parts[1] != b"vertex":
                     raise DocumentError(f"{path}: only vertex elements are supported")
-                count = int(parts[2])
+                try:
+                    count = int(parts[2])
+                except ValueError:
+                    raise DocumentError(f"{path}: vertex count {parts[2]!r} is not an integer") from None
                 if count < 0:
                     raise DocumentError(f"{path}: negative vertex count {count}")
             elif parts[0] == b"property":

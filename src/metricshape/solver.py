@@ -42,9 +42,11 @@ from .camera import Intrinsics, focal_from_fov
 from .errors import DegenerateConstraintsError, InfeasibleConstraintError
 
 # Levenberg-Marquardt schedule. Convergence is declared when the scaled
-# residual norm drops below TOL_ABS or an accepted step is shorter than
-# TOL_STEP; the solve stops when the damping exceeds DAMPING_MAX, converged
-# if every gradient component |J_j^T f| is below TOL_GRAD * |J_j| * |f|.
+# residual norm drops below TOL_ABS, when an accepted step is shorter than
+# TOL_STEP, or when every gradient component |J_j^T f| is below
+# TOL_GRAD * |J_j| * |f| (first-order stationarity, tested each iteration);
+# the solve gives up unconverged when the damping exceeds DAMPING_MAX or
+# after MAX_ITER iterations. SolveReport.stop_reason names which ended it.
 DAMPING_INIT = 1e-3
 DAMPING_FACTOR = 10.0
 DAMPING_MAX = 1e16
@@ -71,12 +73,20 @@ class DistanceConstraint:
     distance: float
 
     def __post_init__(self) -> None:
+        for name in ("u1", "v1", "u2", "v2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if (self.u1, self.v1) == (self.u2, self.v2):
             raise ValueError("constraint pixels must differ")
         for name in ("d1", "d2", "distance"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        coef = coefficients_from_constraint(self)
+        for name, fields in (("a1", "u1, u2"), ("a3", "v1, v2"), ("a5", "distance")):
+            if not math.isfinite(getattr(coef, name)):
+                raise ValueError(f"coefficient {name} overflows float64: {fields} out of range")
         if self.distance < abs(self.d1 - self.d2):
             raise InfeasibleConstraintError(
                 f"distance {self.distance} is smaller than the depth separation "
@@ -135,6 +145,9 @@ class SolveReport:
     iterations: int
     converged: bool
     condition_warning: bool
+    # tol_abs, tol_step, tol_grad (converged), damping_max, max_iter (not
+    # converged), or root for an exact root from enumerate_solutions
+    stop_reason: str
 
 
 def canonical_params(width: int, height: int, fov_deg: float = 60.0) -> SolverParams:
@@ -153,7 +166,7 @@ def coefficients_from_constraint(c: DistanceConstraint) -> ConstraintCoefficient
         a2=a2,
         a3=c.d1 * c.v1 - c.d2 * c.v2,
         a4=a2,
-        a5=(c.d1 - c.d2) ** 2 - c.distance**2,
+        a5=a2 * a2 - c.distance * c.distance,
     )
 
 
@@ -170,14 +183,17 @@ def constraint_gradient(coef: ConstraintCoefficients, params: SolverParams) -> n
 
 
 def _coefficient_matrix(constraints: list[DistanceConstraint]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack coefficients into an (N, 5) matrix plus per-row weights 1/L^2."""
-    rows = np.empty((len(constraints), 5))
-    weights = np.empty(len(constraints))
-    for i, c in enumerate(constraints):
-        coef = coefficients_from_constraint(c)
-        rows[i] = (coef.a1, coef.a2, coef.a3, coef.a4, coef.a5)
-        weights[i] = 1.0 / c.distance**2
-    return rows, weights
+    """Stack coefficients into an (N, 5) matrix plus per-row weights 1/L^2.
+
+    Row for row the same values as ``coefficients_from_constraint``; squares
+    are products, which round correctly (Python's ``x**2`` goes through libm
+    ``pow`` and can be 1 ulp off).
+    """
+    fields = [(c.u1, c.v1, c.u2, c.v2, c.d1, c.d2, c.distance) for c in constraints]
+    u1, v1, u2, v2, d1, d2, dist = np.array(fields, dtype=np.float64).reshape(-1, 7).T
+    a2 = d2 - d1
+    rows = np.stack([d1 * u1 - d2 * u2, a2, d1 * v1 - d2 * v2, a2, a2 * a2 - dist * dist], 1)
+    return rows, 1.0 / (dist * dist)
 
 
 def _residuals_and_jacobian(
@@ -235,7 +251,7 @@ def _solve_lm(
     theta = init.as_array()
     mu = DAMPING_INIT
     iterations = 0
-    converged = False
+    stop_reason = "max_iter"
 
     f, jac = _residuals_and_jacobian(theta, rows, weights)
     for it in range(MAX_ITER):
@@ -246,12 +262,17 @@ def _solve_lm(
         else:
             fw, jw = f, jac
         if float(np.linalg.norm(fw)) < TOL_ABS:
-            converged = True
+            stop_reason = "tol_abs"
+            break
+        grad = jw.T @ fw
+        if np.all(
+            np.abs(grad) <= TOL_GRAD * np.linalg.norm(jw, axis=0) * np.linalg.norm(fw)
+        ):
+            stop_reason = "tol_grad"
             break
         iterations = it + 1
 
         jtj = jw.T @ jw
-        grad = jw.T @ fw
         scale = np.diag(np.diag(jtj))
         try:
             step = np.linalg.solve(jtj + mu * scale, -grad)
@@ -274,13 +295,12 @@ def _solve_lm(
             f, jac = f_new, jac_new
             mu /= DAMPING_FACTOR
             if float(np.linalg.norm(step)) < TOL_STEP:
-                converged = True
+                stop_reason = "tol_step"
                 break
         else:
             mu *= DAMPING_FACTOR
             if mu > DAMPING_MAX:
-                bound = TOL_GRAD * np.linalg.norm(jw, axis=0) * np.linalg.norm(fw)
-                converged = bool(np.all(np.abs(grad) <= bound))
+                stop_reason = "damping_max"
                 break
 
     rank, condition_warning = _rank_and_condition(jac)
@@ -294,8 +314,9 @@ def _solve_lm(
         intrinsics=params.to_intrinsics(width, height),
         final_residual_norm=float(np.linalg.norm(f)),
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason in ("tol_abs", "tol_step", "tol_grad"),
         condition_warning=condition_warning,
+        stop_reason=stop_reason,
     )
 
 
@@ -318,8 +339,8 @@ def _minimal_roots(constraints: list[DistanceConstraint]) -> list[SolverParams]:
     m0 = np.linalg.lstsq(mono, -a5 * weights, rcond=None)[0] / scale
     n = np.linalg.svd(mono)[2][-1] / scale
     m1, m2, m3, m4, m5 = (np.array([nj, mj]) for nj, mj in zip(n, m0))
-    mul = np.polymul
-    cubic = np.polysub(mul(mul(m5, m1), m3), np.polyadd(mul(mul(m2, m2), m3), mul(mul(m4, m4), m1)))
+    mul = np.convolve
+    cubic = mul(mul(m5, m1), m3) - (mul(mul(m2, m2), m3) + mul(mul(m4, m4), m1))
     roots = []
     for lam in np.roots(cubic):
         m = m0 + lam.real * n
@@ -392,5 +413,5 @@ def enumerate_solutions(
         norm = float(np.linalg.norm(f))
         if norm < ROOT_RESIDUAL_TOL:
             ill = _rank_and_condition(jac)[1]
-            found.append(SolveReport(root.to_intrinsics(width, height), norm, 0, True, ill))
+            found.append(SolveReport(root.to_intrinsics(width, height), norm, 0, True, ill, "root"))
     return found

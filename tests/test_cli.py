@@ -1,6 +1,7 @@
 """End-to-end command-line tests exercising files and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -111,6 +112,7 @@ class TestCalibrate:
         report = json.loads(capsys.readouterr().out)
         assert report["converged"] is True
         assert report["final_residual_norm"] > 1e-6
+        assert report["stop_reason"] == "tol_grad"
 
     def test_equal_depth_constraints_exit_degenerate(self, tmp_path):
         k = Intrinsics(fx=100.0, fy=100.0, cx=32.0, cy=24.0, width=64, height=48)
@@ -165,6 +167,33 @@ class TestCalibrate:
         assert "error:" in done.stderr and "record 0" in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize(
+        "pairs, edit",
+        [
+            (6, {"u1": math.nan}),
+            (6, {"u1": math.inf}),
+            (4, {"u1": 1e308, "u2": -1e308}),
+            (6, {"u1": 1e308, "u2": -1e308}),
+        ],
+        ids=["nan", "inf", "overflow-4-pairs", "overflow-6-pairs"],
+    )
+    def test_bad_pixel_with_given_depths_is_input_error(self, scene_file, tmp_path, pairs, edit):
+        """Pixel coordinates that are not finite, or whose coefficient
+        a1 = d1*u1 - d2*u2 overflows, are rejected when the record is read
+        (exit 1 naming the record), not by the solver."""
+        depth, _, cons = synth(scene_file, tmp_path, width=64, height=48)
+        records = json.loads(open(cons).read())[:pairs]
+        records[0].update(edit)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(records))  # NaN and inf as the NaN / Infinity literals
+        done = subprocess.run(
+            [sys.executable, "-m", "metricshape", "calibrate", depth, str(bad)],
+            env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "error:" in done.stderr and "record 0" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_fewer_than_four_constraints_is_input_error(self, scene_file, tmp_path):
         depth, _, _ = synth(scene_file, tmp_path)
         few = tmp_path / "few.json"
@@ -181,7 +210,7 @@ class TestCalibrate:
         fake = SolveReport(
             intrinsics=Intrinsics(1.0, 1.0, 0.0, 0.0, 160, 120),
             final_residual_norm=1.0, iterations=200, converged=False,
-            condition_warning=False,
+            condition_warning=False, stop_reason="damping_max",
         )
         monkeypatch.setattr(cli, "solve_overdetermined", lambda *a, **k: fake)
         assert main(["calibrate", depth, cons]) == 3

@@ -201,6 +201,17 @@ class TestPly:
         self.write_raw(path, b"ascii", 2, b"0 0 0\n1 2 3")
         np.testing.assert_array_equal(fileio.read_ply(path).points, [[0, 0, 0], [1, 2, 3]])
 
+    @pytest.mark.parametrize(
+        "header_line", [b"", b"element", b"element vertex abc"], ids=["empty", "bare-element", "count-abc"]
+    )
+    def test_malformed_header_line_is_document_error(self, tmp_path, header_line):
+        path = str(tmp_path / "bad_header.ply")
+        with open(path, "wb") as f:
+            f.write(b"ply\nformat ascii 1.0\n" + header_line + b"\nelement vertex 1\n"
+                    b"property float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n")
+        with pytest.raises(DocumentError):
+            fileio.read_ply(path)
+
 
 class TestIntrinsicsDocument:
     def test_round_trip(self, tmp_path):

@@ -21,6 +21,7 @@ from metricshape.solver import (
     coefficients_from_constraint,
     constraint_gradient,
     constraint_residual,
+    _coefficient_matrix,
     enumerate_solutions,
     solve_minimal,
     solve_overdetermined,
@@ -94,6 +95,15 @@ class TestCoefficients:
         origin_pp = SolverParams(t_x=0.0, t_y=0.0, r_x=1e-3, r_y=1e-3)
         assert constraint_residual(coef, origin_pp) == 0.0
 
+    @pytest.mark.parametrize("n", [1, 4, 100])
+    def test_matrix_rows_equal_per_pair_coefficients_bit_for_bit(self, n):
+        cons = random_exact_constraints(GT, n, seed=n)
+        rows, weights = _coefficient_matrix(cons)
+        expected = np.array([dataclasses.astuple(coefficients_from_constraint(c)) for c in cons])
+        assert rows.shape == (n, 5)
+        assert np.array_equal(rows, expected)
+        assert np.array_equal(weights, [1.0 / (c.distance * c.distance) for c in cons])
+
 
 class TestResidual:
     def test_zero_at_ground_truth(self):
@@ -164,6 +174,26 @@ class TestConstraintValidation:
             DistanceConstraint(u1=0, v1=0, u2=1, v2=1, d1=0.0, d2=2.0, distance=2.5)
         with pytest.raises(ValueError):
             DistanceConstraint(u1=0, v1=0, u2=1, v2=1, d1=1.0, d2=2.0, distance=-1.0)
+
+    @pytest.mark.parametrize("name", ["u1", "v1", "u2", "v2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pixel_rejected(self, name, value):
+        fields = dict(u1=0.0, v1=0.0, u2=9.0, v2=9.0, d1=1.0, d2=2.0, distance=1.5)
+        fields[name] = value
+        with pytest.raises(ValueError, match=name):
+            DistanceConstraint(**fields)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            (dict(u1=1e308, u2=-1e308, v1=0.0, v2=0.0, distance=1.5), "a1"),
+            (dict(u1=0.0, u2=0.0, v1=-1e308, v2=1e308, distance=1.5), "a3"),
+            (dict(u1=0.0, u2=9.0, v1=0.0, v2=9.0, distance=1e200), "a5"),
+        ],
+    )
+    def test_overflowing_coefficient_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            DistanceConstraint(d1=2.0, d2=3.0, **fields)
 
 
 class TestSolveMinimal:
@@ -283,6 +313,23 @@ class TestSolveOverdetermined:
         report = solve_overdetermined(cons, 640, 480)
         assert report.final_residual_norm > 1e-6
         assert report.converged
+        assert report.stop_reason == "tol_grad"
+
+    def test_huber_stops_at_first_order_point(self):
+        """100 pairs with 1 % distance noise and 10 outliers (x1.5-3): the
+        Huber solve stops on the gradient test once stationary, instead of
+        raising the damping through rejected steps until DAMPING_MAX."""
+        rng = np.random.default_rng(5)
+        cons = [
+            dataclasses.replace(c, distance=c.distance * (1.0 + 0.01 * rng.standard_normal()))
+            for c in random_exact_constraints(GT, 100, seed=5)
+        ]
+        for i in rng.choice(100, 10, replace=False):
+            cons[i] = dataclasses.replace(cons[i], distance=cons[i].distance * rng.uniform(1.5, 3.0))
+        report = solve_overdetermined(cons, 640, 480, loss="huber")
+        assert report.stop_reason == "tol_grad" and report.converged
+        assert report.iterations <= 20
+        assert same_camera(report.intrinsics, GT, rel=0.05)
 
     def test_unknown_loss_rejected(self):
         cons = random_exact_constraints(GT, 4, seed=2)

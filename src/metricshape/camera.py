@@ -150,18 +150,10 @@ def project_point(k: Intrinsics, x: float, y: float, z: float) -> tuple[float, f
 
 def unproject_depth_map(k: Intrinsics, depth: DepthMap) -> PointCloud:
     """Unproject every valid pixel; output is row-major over valid pixels."""
-    if (depth.width, depth.height) != (k.width, k.height):
-        raise ShapeMismatchError(
-            f"depth map {depth.width}x{depth.height} does not match "
-            f"intrinsics {k.width}x{k.height}"
-        )
-    xs = (np.arange(k.width, dtype=np.float64) - k.cx) / k.fx
-    ys = (np.arange(k.height, dtype=np.float64) - k.cy) / k.fy
-    d = depth.values
-    m = depth.valid
-    x = xs[None, :] * d
-    y = ys[:, None] * d
-    return PointCloud(np.stack([x[m], y[m], d[m]], axis=1))
+    # imported here because incidence builds on this module
+    from .incidence import field_from_intrinsics, unproject_with_field
+
+    return unproject_with_field(field_from_intrinsics(k), depth)
 
 
 def fov_from_focal(f: float, extent: float) -> float:

@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from . import fileio
-from .camera import Intrinsics
 from .errors import DegenerateConstraintsError, DocumentError
 from .incidence import (
     CanonicalCamera,
@@ -53,14 +52,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         "iterations": report.iterations,
         "final_residual_norm": report.final_residual_norm,
         "condition_warning": report.condition_warning,
-        "intrinsics": {
-            "fx": report.intrinsics.fx,
-            "fy": report.intrinsics.fy,
-            "cx": report.intrinsics.cx,
-            "cy": report.intrinsics.cy,
-            "width": report.intrinsics.width,
-            "height": report.intrinsics.height,
-        },
+        "intrinsics": fileio.intrinsics_document(report.intrinsics),
     }
     sys.stdout.write(fileio.write_json_document(None, doc))
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
@@ -144,11 +136,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     alpha, beta, gamma, lam = args.weights
     weights = LossWeights(alpha=alpha, beta=beta, gamma=gamma, lam=lam)
     cano = CanonicalCamera.for_image(gt_depth.width, gt_depth.height, fov_deg=args.init_fov)
-    init_k = Intrinsics(
-        fx=cano.f_c, fy=cano.f_c, cx=cano.u_c, cy=cano.v_c,
-        width=gt_depth.width, height=gt_depth.height,
-    )
-    state = RefineState.from_maps(init_depth, init_k)
+    state = RefineState.from_maps(init_depth, cano.intrinsics(gt_depth.width, gt_depth.height))
     cfg = RefineConfig(
         weights=weights, depth_lr=args.lr_depth, theta_lr=args.lr_theta,
         max_steps=args.steps,

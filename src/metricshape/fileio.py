@@ -248,14 +248,16 @@ def _number(obj: dict, name: str, where: str) -> float:
     return float(value)
 
 
-def write_intrinsics(path: str, k: Intrinsics) -> None:
-    doc = {
+def intrinsics_document(k: Intrinsics) -> dict:
+    """The JSON object of an intrinsics file."""
+    return {
         "fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy,
         "width": k.width, "height": k.height,
     }
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(doc, stream, indent=2)
-        stream.write("\n")
+
+
+def write_intrinsics(path: str, k: Intrinsics) -> None:
+    write_json_document(path, intrinsics_document(k))
 
 
 def read_intrinsics(path: str) -> Intrinsics:
@@ -284,9 +286,7 @@ def write_constraints(path: str, constraints: list[DistanceConstraint]) -> None:
         {"u1": c.u1, "v1": c.v1, "u2": c.u2, "v2": c.v2, "d1": c.d1, "d2": c.d2, "L": c.distance}
         for c in constraints
     ]
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(records, stream, indent=2)
-        stream.write("\n")
+    write_json_document(path, records)
 
 
 def _depth_at_pixel(depth: DepthMap, u: float, v: float, where: str) -> float:
@@ -389,9 +389,7 @@ def read_scene(path: str) -> SceneSpec:
 
 
 def write_trace(path: str, trace: list[float]) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(list(trace), stream, indent=2)
-        stream.write("\n")
+    write_json_document(path, list(trace))
 
 
 def read_trace(path: str) -> list[float]:
@@ -403,8 +401,9 @@ def read_trace(path: str) -> list[float]:
     return [float(v) for v in obj]
 
 
-def write_json_document(path: str | None, doc: dict) -> str:
-    """Serialize a report document; also returns the text (for stdout)."""
+def write_json_document(path: str | None, doc: Any) -> str:
+    """Write ``doc`` as JSON indented by 2 with a final newline, unless
+    ``path`` is None; return the text (for stdout)."""
     text = json.dumps(doc, indent=2) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as stream:

@@ -78,6 +78,12 @@ class CanonicalCamera:
         """
         return cls(focal_from_fov(fov_deg, max(width, height)), width / 2.0, height / 2.0)
 
+    def intrinsics(self, width: int, height: int) -> Intrinsics:
+        """The canonical camera as pinhole intrinsics of a width x height image."""
+        return Intrinsics(
+            fx=self.f_c, fy=self.f_c, cx=self.u_c, cy=self.v_c, width=width, height=height
+        )
+
 
 def _require_z1(field: IncidenceField, name: str) -> None:
     if not np.all(field.rays[..., 2] == 1.0):
@@ -122,13 +128,7 @@ def field_from_intrinsics(k: Intrinsics) -> IncidenceField:
 
 def canonical_field(cano: CanonicalCamera, width: int, height: int) -> IncidenceField:
     """The incidence field of the canonical camera on a width x height grid."""
-    xs = (np.arange(width, dtype=np.float64) - cano.u_c) / cano.f_c
-    ys = (np.arange(height, dtype=np.float64) - cano.v_c) / cano.f_c
-    rays = np.empty((height, width, 3))
-    rays[..., 0] = xs[None, :]
-    rays[..., 1] = ys[:, None]
-    rays[..., 2] = 1.0
-    return IncidenceField(rays)
+    return field_from_intrinsics(cano.intrinsics(width, height))
 
 
 def compose_residual(res: IncidenceField, cano: IncidenceField) -> IncidenceField:
@@ -216,8 +216,8 @@ def fit_intrinsics_from_field(
 def unproject_with_field(field: IncidenceField, depth: DepthMap) -> PointCloud:
     """Point at each valid pixel = depth * ray; row-major over valid pixels.
 
-    Bit-identical to :func:`metricshape.camera.unproject_depth_map` when the
-    field came from the same intrinsics.
+    :func:`metricshape.camera.unproject_depth_map` is this function on the
+    field of its intrinsics.
     """
     if (depth.height, depth.width) != (field.height, field.width):
         raise ShapeMismatchError(

@@ -134,8 +134,16 @@ def _nearest_squared(
     return idx, (diff * diff).sum(axis=1)
 
 
-def _pick_method(n: int, m: int) -> str:
-    return "bruteforce" if max(n, m) <= BRUTE_FORCE_LIMIT else "kdtree"
+def _mutual_nearest(
+    pa: np.ndarray, qa: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest-neighbour pass both ways: (idx_pq, d2_pq, idx_qp, d2_qp).
+
+    All-pairs while neither cloud exceeds ``BRUTE_FORCE_LIMIT`` points,
+    a k-d tree above.
+    """
+    method = "bruteforce" if max(len(pa), len(qa)) <= BRUTE_FORCE_LIMIT else "kdtree"
+    return _nearest_squared(pa, qa, method) + _nearest_squared(qa, pa, method)
 
 
 def chamfer_distance(p: PointCloud, q: PointCloud) -> LossValue:
@@ -149,9 +157,7 @@ def chamfer_distance(p: PointCloud, q: PointCloud) -> LossValue:
     if len(p) == 0 or len(q) == 0:
         raise EmptyCloudError("chamfer distance needs two non-empty clouds")
     pa, qa = p.points, q.points
-    chosen = _pick_method(len(p), len(q))
-    idx_pq, d2_pq = _nearest_squared(pa, qa, chosen)
-    idx_qp, d2_qp = _nearest_squared(qa, pa, chosen)
+    idx_pq, d2_pq, idx_qp, d2_qp = _mutual_nearest(pa, qa)
     value = float(d2_pq.mean()) + float(d2_qp.mean())
 
     grad_p = 2.0 * (pa - qa[idx_pq]) / len(p)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .camera import DepthMap, Intrinsics, PointCloud
 from .errors import EmptyCloudError, EmptyOverlapError, ShapeMismatchError
-from .losses import _nearest_squared, _pick_method
+from .losses import _mutual_nearest
 
 DEFAULT_F1_THRESHOLDS = (0.05, 0.1, 0.3, 0.5, 0.75)
 
@@ -124,9 +124,7 @@ def shape_metrics(
     """F1 across thresholds plus the Chamfer distance, sharing one NN pass."""
     if len(p) == 0 or len(q) == 0:
         raise EmptyCloudError("shape metrics need two non-empty clouds")
-    chosen = _pick_method(len(p), len(q))
-    d2_pq = _nearest_squared(p.points, q.points, chosen)[1]
-    d2_qp = _nearest_squared(q.points, p.points, chosen)[1]
+    _, d2_pq, _, d2_qp = _mutual_nearest(p.points, q.points)
     f1 = {}
     for tau in thresholds:
         if not tau > 0.0:

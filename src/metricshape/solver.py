@@ -38,8 +38,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .camera import Intrinsics, focal_from_fov
+from .camera import Intrinsics
 from .errors import DegenerateConstraintsError, InfeasibleConstraintError
+from .incidence import CanonicalCamera
 
 # Levenberg-Marquardt schedule. Convergence is declared when the scaled
 # residual norm drops below TOL_ABS, when an accepted step is shorter than
@@ -83,9 +84,16 @@ class DistanceConstraint:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        coef = coefficients_from_constraint(self)
-        for name, fields in (("a1", "u1, u2"), ("a3", "v1, v2"), ("a5", "distance")):
-            if not math.isfinite(getattr(coef, name)):
+        a1, a2, a3, a5 = _pair_coefficients(
+            self.u1, self.v1, self.u2, self.v2, self.d1, self.d2, self.distance
+        )
+        # a5 and the products _minimal_roots forms from a1 and a3 must be finite
+        for name, fields, square, cross in (
+            ("a1", "u1, u2", a1 * a1, 2.0 * a1 * a2),
+            ("a3", "v1, v2", a3 * a3, 2.0 * a3 * a2),
+            ("a5", "distance", a5, a5),
+        ):
+            if not (math.isfinite(square) and math.isfinite(cross)):
                 raise ValueError(f"coefficient {name} overflows float64: {fields} out of range")
         if self.distance < abs(self.d1 - self.d2):
             raise InfeasibleConstraintError(
@@ -152,22 +160,24 @@ class SolveReport:
 
 def canonical_params(width: int, height: int, fov_deg: float = 60.0) -> SolverParams:
     """Initialization from the canonical prior: given FoV, centered principal point."""
-    f = focal_from_fov(fov_deg, max(width, height))
-    return SolverParams(
-        t_x=(width / 2.0) / f, t_y=(height / 2.0) / f, r_x=1.0 / f, r_y=1.0 / f
-    )
+    cano = CanonicalCamera.for_image(width, height, fov_deg)
+    return SolverParams.from_intrinsics(cano.intrinsics(width, height))
+
+
+def _pair_coefficients(u1, v1, u2, v2, d1, d2, distance):
+    """(a1, a2, a3, a5) of one pair, or element-wise of arrays of pairs; a4 = a2.
+
+    Squares are products, which round correctly (Python's ``x**2`` goes
+    through libm ``pow`` and can be 1 ulp off).
+    """
+    a2 = d2 - d1
+    return d1 * u1 - d2 * u2, a2, d1 * v1 - d2 * v2, a2 * a2 - distance * distance
 
 
 def coefficients_from_constraint(c: DistanceConstraint) -> ConstraintCoefficients:
     """Constants a1..a5 of the constraint's re-parameterized equation."""
-    a2 = c.d2 - c.d1
-    return ConstraintCoefficients(
-        a1=c.d1 * c.u1 - c.d2 * c.u2,
-        a2=a2,
-        a3=c.d1 * c.v1 - c.d2 * c.v2,
-        a4=a2,
-        a5=a2 * a2 - c.distance * c.distance,
-    )
+    a1, a2, a3, a5 = _pair_coefficients(c.u1, c.v1, c.u2, c.v2, c.d1, c.d2, c.distance)
+    return ConstraintCoefficients(a1=a1, a2=a2, a3=a3, a4=a2, a5=a5)
 
 
 def constraint_residual(coef: ConstraintCoefficients, params: SolverParams) -> float:
@@ -183,17 +193,11 @@ def constraint_gradient(coef: ConstraintCoefficients, params: SolverParams) -> n
 
 
 def _coefficient_matrix(constraints: list[DistanceConstraint]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack coefficients into an (N, 5) matrix plus per-row weights 1/L^2.
-
-    Row for row the same values as ``coefficients_from_constraint``; squares
-    are products, which round correctly (Python's ``x**2`` goes through libm
-    ``pow`` and can be 1 ulp off).
-    """
+    """Stack coefficients into an (N, 5) matrix plus per-row weights 1/L^2."""
     fields = [(c.u1, c.v1, c.u2, c.v2, c.d1, c.d2, c.distance) for c in constraints]
     u1, v1, u2, v2, d1, d2, dist = np.array(fields, dtype=np.float64).reshape(-1, 7).T
-    a2 = d2 - d1
-    rows = np.stack([d1 * u1 - d2 * u2, a2, d1 * v1 - d2 * v2, a2, a2 * a2 - dist * dist], 1)
-    return rows, 1.0 / (dist * dist)
+    a1, a2, a3, a5 = _pair_coefficients(u1, v1, u2, v2, d1, d2, dist)
+    return np.stack([a1, a2, a3, a2, a5], 1), 1.0 / (dist * dist)
 
 
 def _residuals_and_jacobian(

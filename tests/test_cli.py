@@ -174,13 +174,20 @@ class TestCalibrate:
             (6, {"u1": math.inf}),
             (4, {"u1": 1e308, "u2": -1e308}),
             (6, {"u1": 1e308, "u2": -1e308}),
+            (4, {"u1": 1e200}),
+            (4, {"u1": 1e300}),
+            (6, {"u1": 1e300}),
         ],
-        ids=["nan", "inf", "overflow-4-pairs", "overflow-6-pairs"],
+        ids=[
+            "nan", "inf", "overflow-4-pairs", "overflow-6-pairs",
+            "square-overflow-4-pairs-1e200", "square-overflow-4-pairs-1e300",
+            "square-overflow-6-pairs-1e300",
+        ],
     )
     def test_bad_pixel_with_given_depths_is_input_error(self, scene_file, tmp_path, pairs, edit):
         """Pixel coordinates that are not finite, or whose coefficient
-        a1 = d1*u1 - d2*u2 overflows, are rejected when the record is read
-        (exit 1 naming the record), not by the solver."""
+        a1 = d1*u1 - d2*u2 or its square a1*a1 overflows, are rejected when
+        the record is read (exit 1 naming the record), not by the solver."""
         depth, _, cons = synth(scene_file, tmp_path, width=64, height=48)
         records = json.loads(open(cons).read())[:pairs]
         records[0].update(edit)

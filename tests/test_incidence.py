@@ -65,6 +65,15 @@ class TestCanonicalField:
             canonical_field(cano, 640, 480).rays, field_from_intrinsics(k).rays
         )
 
+    def test_intrinsics_of_the_prior(self):
+        """One focal length on both axes, principal point at the image center."""
+        cano = CanonicalCamera.for_image(64, 48, fov_deg=60.0)
+        k = cano.intrinsics(64, 48)
+        assert k == Intrinsics(
+            fx=cano.f_c, fy=cano.f_c, cx=32.0, cy=24.0, width=64, height=48
+        )
+        assert k.fov_x() == pytest.approx(60.0, abs=1e-12)
+
 
 class TestResidualAlgebra:
     def setup_method(self):

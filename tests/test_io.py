@@ -219,6 +219,16 @@ class TestIntrinsicsDocument:
         path = str(tmp_path / "k.json")
         fileio.write_intrinsics(path, k)
         assert fileio.read_intrinsics(path) == k
+        assert open(path, encoding="utf-8").read() == (
+            "{\n"
+            '  "fx": 500.25,\n'
+            '  "fy": 499.75,\n'
+            '  "cx": 320.5,\n'
+            '  "cy": 240.5,\n'
+            '  "width": 640,\n'
+            '  "height": 480\n'
+            "}\n"
+        )
 
     def test_unknown_field_rejected(self, tmp_path):
         path = str(tmp_path / "k.json")
@@ -253,6 +263,28 @@ class TestConstraintDocument:
         path = str(tmp_path / "c.json")
         fileio.write_constraints(path, cons)
         assert fileio.read_constraints(path) == cons
+        assert open(path, encoding="utf-8").read() == (
+            "[\n"
+            "  {\n"
+            '    "u1": 1.0,\n'
+            '    "v1": 2.0,\n'
+            '    "u2": 3.0,\n'
+            '    "v2": 4.0,\n'
+            '    "d1": 1.5,\n'
+            '    "d2": 2.5,\n'
+            '    "L": 3.25\n'
+            "  },\n"
+            "  {\n"
+            '    "u1": 9.0,\n'
+            '    "v1": 8.0,\n'
+            '    "u2": 7.0,\n'
+            '    "v2": 6.0,\n'
+            '    "d1": 2.0,\n'
+            '    "d2": 2.0,\n'
+            '    "L": 0.5\n'
+            "  }\n"
+            "]\n"
+        )
 
     def test_depths_read_from_map_when_missing(self, tmp_path):
         path = str(tmp_path / "c.json")
@@ -338,6 +370,7 @@ class TestTraceDocument:
         trace = [3.25, 1.0, 0.125]
         fileio.write_trace(path, trace)
         assert fileio.read_trace(path) == trace
+        assert open(path, encoding="utf-8").read() == "[\n  3.25,\n  1.0,\n  0.125\n]\n"
 
     def test_rejects_non_numbers(self, tmp_path):
         path = str(tmp_path / "t.json")

@@ -189,6 +189,10 @@ class TestConstraintValidation:
             (dict(u1=1e308, u2=-1e308, v1=0.0, v2=0.0, distance=1.5), "a1"),
             (dict(u1=0.0, u2=0.0, v1=-1e308, v2=1e308, distance=1.5), "a3"),
             (dict(u1=0.0, u2=9.0, v1=0.0, v2=9.0, distance=1e200), "a5"),
+            # a1 (a3) is finite, but a1*a1 (a3*a3), which the closed-form
+            # solver forms, overflows
+            (dict(u1=1e200, u2=0.0, v1=0.0, v2=0.0, distance=1.5), "a1"),
+            (dict(u1=0.0, u2=0.0, v1=1e300, v2=0.0, distance=1.5), "a3"),
         ],
     )
     def test_overflowing_coefficient_rejected(self, fields, name):

@@ -16,7 +16,6 @@ structure:
 from __future__ import annotations
 
 import json
-import math
 import os
 from typing import IO, Any
 
@@ -289,23 +288,33 @@ def write_constraints(path: str, constraints: list[DistanceConstraint]) -> None:
     write_json_document(path, records)
 
 
-def _depth_at_pixel(depth: DepthMap, u: float, v: float, where: str) -> float:
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise DocumentError(f"{where}: pixel ({u}, {v}) must have finite coordinates")
+def _record_depth(rec: dict, name: str, u: float, v: float, depth: DepthMap | None, where: str) -> float:
+    """The record's depth ``name`` if given, else the map's depth at (u, v).
+
+    With a map, the pixel must lie inside it either way (which NaN and inf
+    never do): a pixel outside the image measures nothing in it.
+    """
+    if depth is not None and not (0 <= u < depth.width and 0 <= v < depth.height):
+        raise DocumentError(f"{where}: pixel ({u}, {v}) is outside the depth map")
+    if name in rec:
+        return _number(rec, name, where)
+    if depth is None:
+        raise DocumentError(f"{where}: {name} missing and no depth map supplied")
     iu, iv = int(u), int(v)
     if iu != u or iv != v:
         raise DocumentError(
             f"{where}: pixel ({u}, {v}) must have integer coordinates to read its depth"
         )
-    if not (0 <= iu < depth.width and 0 <= iv < depth.height):
-        raise DocumentError(f"{where}: pixel ({iu}, {iv}) is outside the depth map")
     if not depth.valid[iv, iu]:
         raise DocumentError(f"{where}: pixel ({iu}, {iv}) has no valid depth")
     return float(depth.values[iv, iu])
 
 
 def read_constraints(path: str, depth: DepthMap | None = None) -> list[DistanceConstraint]:
-    """Parse constraint records; d1/d2 missing means read from the depth map."""
+    """Parse constraint records; d1/d2 missing means read from the depth map.
+
+    A given depth map bounds every pixel, also in records with their depths.
+    """
     records = _load_json(path)
     if not isinstance(records, list):
         raise DocumentError(f"{path}: expected a JSON array of constraint records")
@@ -317,18 +326,8 @@ def read_constraints(path: str, depth: DepthMap | None = None) -> list[DistanceC
         v1 = _number(rec, "v1", where)
         u2 = _number(rec, "u2", where)
         v2 = _number(rec, "v2", where)
-        if "d1" in rec:
-            d1 = _number(rec, "d1", where)
-        elif depth is not None:
-            d1 = _depth_at_pixel(depth, u1, v1, where)
-        else:
-            raise DocumentError(f"{where}: d1 missing and no depth map supplied")
-        if "d2" in rec:
-            d2 = _number(rec, "d2", where)
-        elif depth is not None:
-            d2 = _depth_at_pixel(depth, u2, v2, where)
-        else:
-            raise DocumentError(f"{where}: d2 missing and no depth map supplied")
+        d1 = _record_depth(rec, "d1", u1, v1, depth, where)
+        d2 = _record_depth(rec, "d2", u2, v2, depth, where)
         try:
             out.append(
                 DistanceConstraint(

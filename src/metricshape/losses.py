@@ -22,7 +22,9 @@ from .camera import DepthMap, PointCloud
 from .errors import EmptyCloudError, EmptyOverlapError, ShapeMismatchError
 from .incidence import IncidenceField, compose_residual, unproject_with_field
 
-# Below this size the all-pairs path is faster than building a k-d tree.
+# Up to this many points a side, one all-pairs matrix (n*m*8 bytes, at most
+# 2 MB) serves both NN directions and scipy is never imported: its import
+# alone adds about 70 % to a small refine's peak memory. Above it, k-d trees.
 BRUTE_FORCE_LIMIT = 500
 
 
@@ -112,20 +114,46 @@ def cosine_incidence_loss(
     return LossValue(value=value, gradients={"field": grad})
 
 
+def _squared_distance_matrix(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """All-pairs squared distances, shape (len(query), len(reference)).
+
+    Summed one coordinate at a time, (dx*dx + dy*dy) + dz*dz: the order
+    ``((query[:, None] - reference[None]) ** 2).sum(axis=2)`` uses, so the
+    bits are the same, and (a-b)^2 == (b-a)^2 makes the transpose the
+    reference-to-query matrix exactly. The result holds n*m*8 bytes, 2 MB
+    at ``BRUTE_FORCE_LIMIT`` points a side. One scratch matrix of that size
+    serves y and z: at these sizes a fresh matrix's page faults cost more
+    than its arithmetic.
+    """
+    d2 = np.subtract.outer(query[:, 0], reference[:, 0])
+    d2 *= d2
+    diff = np.empty_like(d2)
+    for k in (1, 2):
+        np.subtract.outer(query[:, k], reference[:, k], out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
+
+
+def _row_nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a squared-distance matrix, the first column of least value and that value."""
+    idx = np.argmin(d2, axis=1)
+    return idx, d2[np.arange(len(d2)), idx]
+
+
 def _nearest_squared(
     query: np.ndarray, reference: np.ndarray, method: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index of and squared distance to each query point's nearest reference.
 
-    The k-d tree only selects the matching index; the squared distance is
-    recomputed from the matched pair with the same arithmetic as the
-    all-pairs path, so both methods return identical values away from ties.
-    Ties resolve to the lowest reference index on the all-pairs path.
+    ``"bruteforce"`` reads the rows of ``_squared_distance_matrix``; ties
+    resolve to the lowest reference index. The k-d tree only selects the
+    matching index; the squared distance is recomputed from the matched
+    pair with the same arithmetic, so both methods return identical values
+    away from ties.
     """
     if method == "bruteforce":
-        d2 = ((query[:, None, :] - reference[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argmin(d2, axis=1)
-        return idx, d2[np.arange(len(query)), idx]
+        return _row_nearest(_squared_distance_matrix(query, reference))
     # imported here so that commands without an NN search never load scipy
     from scipy.spatial import cKDTree
 
@@ -139,11 +167,15 @@ def _mutual_nearest(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nearest-neighbour pass both ways: (idx_pq, d2_pq, idx_qp, d2_qp).
 
-    All-pairs while neither cloud exceeds ``BRUTE_FORCE_LIMIT`` points,
-    a k-d tree above.
+    While neither cloud exceeds ``BRUTE_FORCE_LIMIT`` points, one all-pairs
+    matrix serves both directions: its rows give P->Q and the rows of its
+    transpose give Q->P, with the bits of two separate all-pairs passes.
+    Above the limit, one k-d tree query per direction.
     """
-    method = "bruteforce" if max(len(pa), len(qa)) <= BRUTE_FORCE_LIMIT else "kdtree"
-    return _nearest_squared(pa, qa, method) + _nearest_squared(qa, pa, method)
+    if max(len(pa), len(qa)) > BRUTE_FORCE_LIMIT:
+        return _nearest_squared(pa, qa, "kdtree") + _nearest_squared(qa, pa, "kdtree")
+    d2 = _squared_distance_matrix(pa, qa)
+    return _row_nearest(d2) + _row_nearest(d2.T)
 
 
 def chamfer_distance(p: PointCloud, q: PointCloud) -> LossValue:

@@ -201,6 +201,25 @@ class TestCalibrate:
         assert "error:" in done.stderr and "record 0" in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("pairs", [4, 6])
+    @pytest.mark.parametrize("u1", [1e16, 1e100, 1e153])
+    def test_pixel_outside_depth_map_is_input_error(self, scene_file, tmp_path, pairs, u1):
+        """A pixel outside the depth map measures nothing in it, even when the
+        record gives its depths: exit 1 naming the record, before the solver
+        can file the pair as degenerate or overflow on its squares."""
+        depth, _, cons = synth(scene_file, tmp_path, width=64, height=48)
+        records = json.loads(open(cons).read())[:pairs]
+        records[0]["u1"] = u1
+        bad = tmp_path / "outside.json"
+        bad.write_text(json.dumps(records))
+        done = subprocess.run(
+            [sys.executable, "-m", "metricshape", "calibrate", depth, str(bad)],
+            env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "error:" in done.stderr and "record 0" in done.stderr
+        assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+
     def test_fewer_than_four_constraints_is_input_error(self, scene_file, tmp_path):
         depth, _, _ = synth(scene_file, tmp_path)
         few = tmp_path / "few.json"

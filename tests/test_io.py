@@ -316,6 +316,19 @@ class TestConstraintDocument:
         with pytest.raises(DocumentError, match="record 0"):
             fileio.read_constraints(path)
 
+    def test_pixel_outside_map_rejected_even_with_given_depths(self, tmp_path):
+        """Given a map, its extent bounds every pixel; without one, a record
+        with its own depths may place pixels anywhere (library solves do)."""
+        path = str(tmp_path / "c.json")
+        open(path, "w").write(
+            '[{"u1": 0, "v1": 0, "u2": 1, "v2": 1, "d1": 1.0, "d2": 2.0, "L": 3.0},'
+            ' {"u1": 2, "v1": 0, "u2": 1, "v2": 1, "d1": 1.0, "d2": 2.0, "L": 3.0}]'
+        )
+        depth = DepthMap(np.ones((2, 2)), np.ones((2, 2), bool))
+        with pytest.raises(DocumentError, match="record 1.*outside the depth map"):
+            fileio.read_constraints(path, depth)
+        assert len(fileio.read_constraints(path)) == 2
+
     def test_invalid_pixel_for_map_lookup(self, tmp_path):
         path = str(tmp_path / "c.json")
         open(path, "w").write('[{"u1": 0.5, "v1": 0, "u2": 1, "v2": 1, "L": 4.0}]')

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metricshape.camera import DepthMap, Intrinsics, PointCloud
 from metricshape.errors import EmptyCloudError, EmptyOverlapError, ShapeMismatchError
@@ -15,7 +17,9 @@ from metricshape.incidence import (
     field_from_intrinsics,
 )
 from metricshape.losses import (
+    BRUTE_FORCE_LIMIT,
     LossWeights,
+    _mutual_nearest,
     _nearest_squared,
     chamfer_distance,
     cosine_incidence_loss,
@@ -183,6 +187,68 @@ class TestChamfer:
         lv = chamfer_distance(p, q)
         np.testing.assert_allclose(lv.gradients["points_p"], [[4.0, 0.0, 0.0]])
         np.testing.assert_allclose(lv.gradients["points_q"], [[-4.0, 0.0, 0.0]])
+
+
+def _reference_nearest(query, reference):
+    """One direction on its own: the full (n, m, 3) difference tensor, first argmin."""
+    d2 = ((query[:, None] - reference[None]) ** 2).sum(axis=2)
+    idx = np.argmin(d2, axis=1)
+    return idx, d2[np.arange(len(query)), idx]
+
+
+def _cloud(rng, n, kind):
+    """n points; "ties" rounds to 0.1, "dup" also repeats points, so many
+    distances tie exactly."""
+    points = rng.uniform(-1.0, 1.0, (n, 3))
+    if kind != "plain":
+        points = np.round(points, 1)
+    if kind == "dup":
+        points = points[rng.integers(0, n, n)]
+    return points
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+class TestAllPairsNearestProperty:
+    """The all-pairs pass serves both directions from one matrix; it must
+    equal two independent per-direction passes bit for bit."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        n=st.integers(1, BRUTE_FORCE_LIMIT),
+        m=st.integers(1, BRUTE_FORCE_LIMIT),
+        kind=st.sampled_from(["plain", "ties", "dup"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, m=1, kind="plain", seed=0)
+    @example(n=1, m=37, kind="dup", seed=1)
+    @example(n=BRUTE_FORCE_LIMIT, m=BRUTE_FORCE_LIMIT, kind="ties", seed=2)
+    @example(n=BRUTE_FORCE_LIMIT, m=BRUTE_FORCE_LIMIT, kind="dup", seed=3)
+    def test_matches_independent_directions(self, n, m, kind, seed):
+        rng = np.random.default_rng(seed)
+        pa = _cloud(rng, n, kind)
+        qa = _cloud(rng, m, kind)
+        if kind == "dup":
+            shared = min(n, m) // 2
+            qa[:shared] = pa[:shared]
+        idx_pq, d2_pq = _reference_nearest(pa, qa)
+        idx_qp, d2_qp = _reference_nearest(qa, pa)
+        got = _mutual_nearest(pa, qa)
+        for mine, ref in zip(got, (idx_pq, d2_pq, idx_qp, d2_qp)):
+            assert mine.dtype == ref.dtype and _bits(mine) == _bits(ref)
+
+        lv = chamfer_distance(PointCloud(pa), PointCloud(qa))
+        value = float(d2_pq.mean()) + float(d2_qp.mean())
+        grad_p = 2.0 * (pa - qa[idx_pq]) / n
+        grad_q = np.zeros_like(qa)
+        np.add.at(grad_q, idx_pq, -2.0 * (pa - qa[idx_pq]) / n)
+        grad_q += 2.0 * (qa - pa[idx_qp]) / m
+        np.add.at(grad_p, idx_qp, -2.0 * (qa - pa[idx_qp]) / m)
+        assert lv.value.hex() == value.hex()
+        assert _bits(lv.gradients["points_p"]) == _bits(grad_p)
+        assert _bits(lv.gradients["points_q"]) == _bits(grad_q)
 
 
 class TestWeights:

@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from . import fileio
+from .camera import DepthMap, Intrinsics
 from .errors import DegenerateConstraintsError, DocumentError
 from .incidence import (
     CanonicalCamera,
@@ -26,6 +27,17 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DEGENERATE = 2
 EXIT_NO_CONVERGENCE = 3
+
+
+def _read_intrinsics_for(path: str, depth: DepthMap) -> Intrinsics:
+    """Intrinsics from ``path``, checked against ``depth``'s size before any field is built."""
+    k = fileio.read_intrinsics(path)
+    if (k.width, k.height) != (depth.width, depth.height):
+        raise DocumentError(
+            f"{path}: intrinsics are {k.width}x{k.height}, "
+            f"the depth map is {depth.width}x{depth.height}"
+        )
+    return k
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -63,8 +75,7 @@ def _cmd_unproject(args: argparse.Namespace) -> int:
     if (args.intrinsics is None) == (args.field is None):
         raise DocumentError("provide either an intrinsics file or --field, not both")
     if args.intrinsics is not None:
-        k = fileio.read_intrinsics(args.intrinsics)
-        field = field_from_intrinsics(k)
+        field = field_from_intrinsics(_read_intrinsics_for(args.intrinsics, depth))
     else:
         field = fileio.read_field_pfm(args.field)
     cloud = unproject_with_field(field, depth)
@@ -86,8 +97,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if (args.pred_intrinsics is None) != (args.gt_intrinsics is None):
         raise DocumentError("--pred-intrinsics and --gt-intrinsics must be given together")
     if args.pred_intrinsics is not None:
-        kp = fileio.read_intrinsics(args.pred_intrinsics)
-        kg = fileio.read_intrinsics(args.gt_intrinsics)
+        kp = _read_intrinsics_for(args.pred_intrinsics, pred)
+        kg = _read_intrinsics_for(args.gt_intrinsics, gt)
         fov = fov_error_stats([kp], [kg], axis=args.fov_axis)
         doc["fov"] = {"mean": fov.mean, "median": fov.median}
         cloud_pred = unproject_with_field(field_from_intrinsics(kp), pred)
@@ -132,7 +143,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_refine(args: argparse.Namespace) -> int:
     init_depth = fileio.read_depth_pfm(args.depth)
     gt_depth = fileio.read_depth_pfm(args.gt_depth)
-    gt_k = fileio.read_intrinsics(args.gt_intrinsics)
+    gt_k = _read_intrinsics_for(args.gt_intrinsics, gt_depth)
     alpha, beta, gamma, lam = args.weights
     weights = LossWeights(alpha=alpha, beta=beta, gamma=gamma, lam=lam)
     cano = CanonicalCamera.for_image(gt_depth.width, gt_depth.height, fov_deg=args.init_fov)

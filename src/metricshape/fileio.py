@@ -110,7 +110,10 @@ def read_field_pfm(path: str) -> IncidenceField:
         data = _read_pfm_payload(stream)
     if data.ndim != 3:
         raise DocumentError(f"{path}: expected a 3-channel PFM incidence field")
-    return IncidenceField(data)
+    try:
+        return IncidenceField(data)
+    except ValueError as exc:
+        raise DocumentError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +228,7 @@ def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as stream:
             return json.load(stream)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DocumentError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -328,12 +331,10 @@ def read_constraints(path: str, depth: DepthMap | None = None) -> list[DistanceC
         v2 = _number(rec, "v2", where)
         d1 = _record_depth(rec, "d1", u1, v1, depth, where)
         d2 = _record_depth(rec, "d2", u2, v2, depth, where)
+        distance = _number(rec, "L", where)
         try:
             out.append(
-                DistanceConstraint(
-                    u1=u1, v1=v1, u2=u2, v2=v2, d1=d1, d2=d2,
-                    distance=_number(rec, "L", where),
-                )
+                DistanceConstraint(u1=u1, v1=v1, u2=u2, v2=v2, d1=d1, d2=d2, distance=distance)
             )
         except ValueError as exc:
             raise DocumentError(f"{where}: {exc}") from exc

@@ -1,11 +1,11 @@
 """Incidence fields: a pixel-wise encoding of 4-DoF camera intrinsics.
 
 The ray at pixel (u, v) is ((u - cx)/fx, (v - cy)/fy, 1); scaling it by the
-pixel's depth gives the 3D point directly. All fields in this module keep
-the third component fixed at exactly 1 ("z=1 form"). Unit-length
-normalization is a loss-side concern and never happens here; a network
-that emits unit-normalized rays can be brought into z=1 form with
-:func:`z1_from_rays`, which divides by the third component.
+pixel's depth gives the 3D point directly. Every field keeps the third
+component at exactly 1 ("z=1 form"), and its constructor enforces it.
+Unit-length normalization is a loss-side concern and never happens
+here; a network that emits unit-normalized rays can be brought into z=1
+form with :func:`z1_from_rays`, which divides by the third component.
 
 Relative to a fixed canonical camera, any pinhole field factors into a
 per-pixel multiplicative residual on the x and y components:
@@ -27,7 +27,7 @@ from .errors import DegenerateFieldError, ShapeMismatchError
 
 @dataclass(frozen=True)
 class IncidenceField:
-    """Per-pixel incidence rays as an (h, w, 3) grid, z component 1."""
+    """Per-pixel incidence rays as an (h, w, 3) grid in z=1 form, enforced here."""
 
     rays: np.ndarray
 
@@ -37,6 +37,8 @@ class IncidenceField:
             raise ShapeMismatchError(f"rays must be (h, w, 3), got {rays.shape}")
         if not np.all(np.isfinite(rays)):
             raise ValueError("ray components must be finite")
+        if not np.all(rays[..., 2] == 1.0):
+            raise ValueError("rays must be in z=1 form (every third component exactly 1)")
         rays.setflags(write=False)
         object.__setattr__(self, "rays", rays)
 
@@ -85,11 +87,6 @@ class CanonicalCamera:
         )
 
 
-def _require_z1(field: IncidenceField, name: str) -> None:
-    if not np.all(field.rays[..., 2] == 1.0):
-        raise ValueError(f"{name} must be in z=1 form (every third component exactly 1)")
-
-
 def _require_same_shape(a: IncidenceField, b: IncidenceField) -> None:
     if a.rays.shape != b.rays.shape:
         raise ShapeMismatchError(
@@ -134,8 +131,6 @@ def canonical_field(cano: CanonicalCamera, width: int, height: int) -> Incidence
 def compose_residual(res: IncidenceField, cano: IncidenceField) -> IncidenceField:
     """Per-pixel, per-component product on x and y; z stays 1."""
     _require_same_shape(res, cano)
-    _require_z1(res, "residual field")
-    _require_z1(cano, "canonical field")
     rays = np.empty_like(cano.rays)
     rays[..., 0] = res.x * cano.x
     rays[..., 1] = res.y * cano.y
@@ -161,8 +156,6 @@ def extract_residual(
     components vanish exactly where the canonical ones do.
     """
     _require_same_shape(gt, cano)
-    _require_z1(gt, "target field")
-    _require_z1(cano, "canonical field")
     sing_x = np.abs(cano.x) <= SINGULARITY_EPS
     sing_y = np.abs(cano.y) <= SINGULARITY_EPS
     safe_x = np.where(sing_x, 1.0, cano.x)
@@ -184,7 +177,6 @@ def fit_intrinsics_from_field(
     that actually vary: a field restricted to a single image column or row
     is rank-deficient.
     """
-    _require_z1(field, "field")
     h, w = field.height, field.width
     if mask is None:
         keep = np.ones(h * w, dtype=bool)
@@ -224,7 +216,6 @@ def unproject_with_field(field: IncidenceField, depth: DepthMap) -> PointCloud:
             f"depth map {depth.width}x{depth.height} does not match "
             f"field {field.width}x{field.height}"
         )
-    _require_z1(field, "field")
     d = depth.values
     m = depth.valid
     x = field.x * d

@@ -192,11 +192,13 @@ def chamfer_distance(p: PointCloud, q: PointCloud) -> LossValue:
     idx_pq, d2_pq, idx_qp, d2_qp = _mutual_nearest(pa, qa)
     value = float(d2_pq.mean()) + float(d2_qp.mean())
 
+    # one term per match, negated for its other end: -(2x/n) has the bits of (-2x)/n
     grad_p = 2.0 * (pa - qa[idx_pq]) / len(p)
     grad_q = np.zeros_like(qa)
-    np.add.at(grad_q, idx_pq, -2.0 * (pa - qa[idx_pq]) / len(p))
-    grad_q += 2.0 * (qa - pa[idx_qp]) / len(q)
-    np.add.at(grad_p, idx_qp, -2.0 * (qa - pa[idx_qp]) / len(q))
+    np.add.at(grad_q, idx_pq, -grad_p)
+    term_qp = 2.0 * (qa - pa[idx_qp]) / len(q)
+    grad_q += term_qp
+    np.add.at(grad_p, idx_qp, -term_qp)
     return LossValue(value=value, gradients={"points_p": grad_p, "points_q": grad_q})
 
 

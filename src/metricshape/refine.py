@@ -32,7 +32,6 @@ from .incidence import (
 )
 from .losses import LossWeights, total_loss
 from .metrics import (
-    DEFAULT_F1_THRESHOLDS,
     DepthMetrics,
     FovErrorStats,
     ShapeMetrics,
@@ -49,11 +48,10 @@ MAX_BACKTRACKS = 40
 
 @dataclass(frozen=True)
 class RefineState:
-    """Optimization state: log-depth grid, (log fx, log fy, cx, cy), step count."""
+    """Optimization state: log-depth grid and (log fx, log fy, cx, cy)."""
 
     log_depth: np.ndarray
     theta: np.ndarray
-    step: int = 0
 
     def __post_init__(self) -> None:
         log_depth = np.array(self.log_depth, dtype=np.float64)
@@ -73,7 +71,7 @@ class RefineState:
     def from_maps(cls, depth: DepthMap, k: Intrinsics) -> "RefineState":
         log_depth = np.where(depth.valid, np.log(np.where(depth.valid, depth.values, 1.0)), 0.0)
         theta = np.array([math.log(k.fx), math.log(k.fy), k.cx, k.cy])
-        return cls(log_depth=log_depth, theta=theta, step=0)
+        return cls(log_depth=log_depth, theta=theta)
 
     def to_intrinsics(self, width: int, height: int) -> Intrinsics:
         return Intrinsics(
@@ -92,12 +90,14 @@ class RefineState:
 
 @dataclass(frozen=True)
 class RefineConfig:
+    """Step sizes, stops and the objective: the full ground truth when
+    ``constraints`` is None, otherwise only those distance constraints."""
+
     weights: LossWeights = field(default_factory=LossWeights)
     depth_lr: float = 0.1
     theta_lr: float = 0.5
     max_steps: int = 200
     tol: float = 0.0
-    supervision: str = "full_gt"
     constraints: tuple[DistanceConstraint, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -105,12 +105,8 @@ class RefineConfig:
             raise ValueError("learning rates must be positive")
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.supervision not in ("full_gt", "constraints_only"):
-            raise ValueError(
-                f"supervision must be 'full_gt' or 'constraints_only', got {self.supervision!r}"
-            )
-        if self.supervision == "constraints_only" and not self.constraints:
-            raise ValueError("constraints_only supervision needs a constraint list")
+        if self.constraints is not None and not self.constraints:
+            raise ValueError("constraints must be None (full ground truth) or non-empty")
 
 
 @dataclass(frozen=True)
@@ -203,7 +199,7 @@ def refine_joint(
         raise ValueError(
             f"state grid {init.log_depth.shape} does not match depth {gt_depth.values.shape}"
         )
-    if cfg.supervision == "full_gt":
+    if cfg.constraints is None:
         evaluate = _full_gt_objective(gt_depth, gt_field, cano, cfg.weights)
     else:
         evaluate = _constraints_objective(cfg.constraints)
@@ -214,7 +210,6 @@ def refine_joint(
     if not math.isfinite(loss):
         raise InvalidInitializationError(f"loss at the initial state is {loss}")
     trace = [loss]
-    steps_taken = 0
 
     for _ in range(cfg.max_steps):
         dir_d = cfg.depth_lr * grad_d
@@ -237,19 +232,17 @@ def refine_joint(
         decrease = loss - cand_loss
         log_depth, theta = cand_d, cand_t
         loss, grad_d, grad_t = cand_loss, cand_gd, cand_gt
-        steps_taken += 1
         trace.append(loss)
         if decrease < cfg.tol:
             break
 
-    return RefineState(log_depth=log_depth, theta=theta, step=init.step + steps_taken), trace
+    return RefineState(log_depth=log_depth, theta=theta), trace
 
 
 def refine_report(
     state: RefineState,
     gt_depth: DepthMap,
     gt_k: Intrinsics,
-    f1_thresholds=DEFAULT_F1_THRESHOLDS,
 ) -> RefineReport:
     """Depth, FoV, and shape metrics of a refined state against ground truth."""
     refined_depth = state.to_depth_map(gt_depth.valid)
@@ -259,5 +252,5 @@ def refine_report(
     return RefineReport(
         depth=depth_metrics(refined_depth, gt_depth),
         fov=fov_error_stats([refined_k], [gt_k]),
-        shape=shape_metrics(cloud_pred, cloud_gt, f1_thresholds),
+        shape=shape_metrics(cloud_pred, cloud_gt),
     )

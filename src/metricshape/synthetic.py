@@ -156,13 +156,16 @@ def render_depth(scene: SceneSpec, k: Intrinsics) -> DepthMap:
     return DepthMap(np.where(valid, t_best, 0.0), valid)
 
 
+SAMPLING_ATTEMPTS_MIN = 10_000
+SAMPLING_ATTEMPTS_PER_PAIR = 500
+
+
 def sample_constraints(
     depth: DepthMap,
     k: Intrinsics,
     count: int,
     rng_seed: int,
     min_depth_ratio: float = 1.2,
-    max_attempts: int | None = None,
 ) -> list[DistanceConstraint]:
     """Sample pixel-pair constraints with ground-truth separations.
 
@@ -170,7 +173,8 @@ def sample_constraints(
     and each pair's depth ratio is at least ``min_depth_ratio`` so the
     equal-depth degeneracy is avoided by construction. Separations come
     from unprojecting both pixels with the ground-truth intrinsics.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. Gives up after
+    ``max(SAMPLING_ATTEMPTS_MIN, SAMPLING_ATTEMPTS_PER_PAIR * count)`` draws.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -182,8 +186,7 @@ def sample_constraints(
             f"need at least {2 * count} valid pixels for {count} disjoint pairs, "
             f"got {flat_valid.size}"
         )
-    if max_attempts is None:
-        max_attempts = max(10_000, 500 * count)
+    budget = max(SAMPLING_ATTEMPTS_MIN, SAMPLING_ATTEMPTS_PER_PAIR * count)
     rng = np.random.default_rng(rng_seed)
     values = depth.values.ravel()
     w = depth.width
@@ -193,10 +196,10 @@ def sample_constraints(
     attempts = 0
     while len(out) < count:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > budget:
             raise SamplingFailureError(
                 f"could not sample {count} pairs with depth ratio >= {min_depth_ratio} "
-                f"in {max_attempts} attempts ({len(out)} found)"
+                f"in {budget} attempts ({len(out)} found)"
             )
         i, j = rng.choice(flat_valid, size=2, replace=False)
         if i in used or j in used:

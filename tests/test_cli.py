@@ -295,6 +295,17 @@ class TestUnproject:
         fileio.write_intrinsics(kpath, Intrinsics(10.0, 10.0, 2.0, 2.0, 4, 4))
         assert main(["unproject", depth, kpath, "--out", str(tmp_path / "c.ply")]) == 1
 
+    def test_field_off_z1_form_is_input_error(self, tmp_path, capsys):
+        dpath, fpath = str(tmp_path / "d.pfm"), str(tmp_path / "f.pfm")
+        fileio.write_depth_pfm(dpath, DepthMap(np.ones((2, 2)), np.ones((2, 2), bool)))
+        rays = np.ones((2, 2, 3), dtype="<f4")
+        rays[1, 0, 2] = 0.5
+        with open(fpath, "wb") as f:
+            f.write(b"PF\n2 2\n-1.0\n" + rays.tobytes())
+        assert main(["unproject", dpath, "--field", fpath, "--out", str(tmp_path / "c.ply")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fpath in err and "z=1 form" in err
+
     def test_needs_exactly_one_intrinsics_source(self, scene_file, tmp_path):
         depth, intr, _ = synth(scene_file, tmp_path)
         assert main(["unproject", depth, "--out", str(tmp_path / "c.ply")]) == 1
@@ -398,6 +409,38 @@ class TestRefineCommand:
         )
         assert args.weights == [1.0, 10.0, 1.0, 0.5]
         assert args.init_fov == 60.0
+
+
+class TestIntrinsicsMatchDepthMap:
+    """An intrinsics file whose size differs from the depth map's is an input
+    error found before any field is built: a declared 4000x3000 camera would
+    otherwise allocate hundreds of MB of rays for a 16x12 depth map."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        from metricshape import cli
+
+        def no_field(k):
+            raise AssertionError("a field was built from mismatched intrinsics")
+
+        monkeypatch.setattr(cli, "field_from_intrinsics", no_field)
+        dpath, kpath = str(tmp_path / "d.pfm"), str(tmp_path / "k.json")
+        fileio.write_depth_pfm(dpath, DepthMap(np.full((12, 16), 2.0), np.ones((12, 16), bool)))
+        fileio.write_intrinsics(kpath, Intrinsics(3000.0, 3000.0, 2000.0, 1500.0, 4000, 3000))
+        return dpath, kpath
+
+    @pytest.mark.parametrize("command", ["unproject", "eval", "refine"])
+    def test_mismatched_size_exits_one_naming_both_sizes(self, files, tmp_path, capsys, command):
+        dpath, kpath = files
+        argv = {
+            "unproject": ["unproject", dpath, kpath, "--out", str(tmp_path / "c.ply")],
+            "eval": ["eval", dpath, dpath, "--pred-intrinsics", kpath, "--gt-intrinsics", kpath],
+            "refine": ["refine", dpath, dpath, kpath, "--out-prefix", str(tmp_path / "r")],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kpath}: ")
+        assert "4000x3000" in err and "16x12" in err
 
 
 class TestModuleEntryPoints:

@@ -273,3 +273,10 @@ class TestZ1Normalization:
         rays[0, 1, 2] = 0.0
         with pytest.raises(ValueError):
             z1_from_rays(rays)
+
+    @pytest.mark.parametrize("z", [0.0, 2.0, -1.0, 1.0 + 2.0**-52])
+    def test_field_off_z1_form_is_rejected_at_construction(self, z):
+        rays = np.ones((2, 3, 3))
+        rays[1, 2, 2] = z
+        with pytest.raises(ValueError, match="z=1 form"):
+            IncidenceField(rays)

@@ -1,5 +1,7 @@
 """File formats: PFM / PLY round trips and strict JSON document parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,16 @@ class TestPfm:
         fileio.write_field_pfm(path, f32)
         back = fileio.read_field_pfm(path)
         np.testing.assert_array_equal(back.rays, f32.rays)
+
+    @pytest.mark.parametrize("z", [2.0, np.nan])
+    def test_field_off_z1_form_is_document_error(self, tmp_path, z):
+        rays = np.ones((2, 2, 3), dtype="<f4")
+        rays[0, 1, 2] = z
+        path = str(tmp_path / "f.pfm")
+        with open(path, "wb") as f:
+            f.write(b"PF\n2 2\n-1.0\n" + rays.tobytes())
+        with pytest.raises(DocumentError, match="^" + re.escape(path) + ": "):
+            fileio.read_field_pfm(path)
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.pfm")
@@ -230,6 +242,12 @@ class TestIntrinsicsDocument:
             "}\n"
         )
 
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = str(tmp_path / "k.json")
+        open(path, "wb").write(b"\x83{}")
+        with pytest.raises(DocumentError, match="^" + re.escape(path) + ": invalid JSON"):
+            fileio.read_intrinsics(path)
+
     def test_unknown_field_rejected(self, tmp_path):
         path = str(tmp_path / "k.json")
         path2 = str(tmp_path / "k2.json")
@@ -307,6 +325,13 @@ class TestConstraintDocument:
         )
         with pytest.raises(DocumentError, match="record 1"):
             fileio.read_constraints(path)
+
+    def test_non_number_distance_names_the_record_once(self, tmp_path):
+        path = str(tmp_path / "c.json")
+        open(path, "w").write('[{"u1": 0, "v1": 0, "u2": 1, "v2": 1, "d1": 1.0, "d2": 2.0, "L": null}]')
+        with pytest.raises(DocumentError) as err:
+            fileio.read_constraints(path)
+        assert str(err.value) == f"{path}: record 0: field 'L' must be a number, got None"
 
     def test_unknown_field_rejected(self, tmp_path):
         path = str(tmp_path / "c.json")

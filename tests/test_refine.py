@@ -50,7 +50,6 @@ class TestRefineJoint:
         assert len(trace) == 1
         np.testing.assert_array_equal(final.log_depth, state0.log_depth)
         np.testing.assert_array_equal(final.theta, state0.theta)
-        assert final.step == 0
 
     def test_start_at_ground_truth_is_already_optimal(self):
         cano = CanonicalCamera.for_image(W, H, fov_deg=65.0)
@@ -99,8 +98,7 @@ class TestRefineJoint:
         cons = sample_constraints(DEPTH_GT, K_GT, 8, rng_seed=3, min_depth_ratio=1.2)
         cano, state0, k0 = canonical_start(80.0)
         cfg = RefineConfig(
-            supervision="constraints_only", constraints=tuple(cons),
-            theta_lr=0.05, max_steps=800,
+            constraints=tuple(cons), theta_lr=0.05, max_steps=800,
         )
         final, trace = refine_joint(state0, DEPTH_GT, FIELD_GT, cano, cfg)
         err0 = fov_error_stats([k0], [K_GT]).per_sample[0]
@@ -112,9 +110,7 @@ class TestRefineJoint:
         """log-depth of 709 makes depths ~8e307; their squared pairwise
         distances overflow, so the initial loss is infinite."""
         cano, state0, _ = canonical_start(65.0)
-        huge = RefineState(
-            log_depth=np.full((H, W), 709.0), theta=state0.theta, step=0
-        )
+        huge = RefineState(log_depth=np.full((H, W), 709.0), theta=state0.theta)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(InvalidInitializationError):
                 refine_joint(huge, DEPTH_GT, FIELD_GT, cano, RefineConfig(max_steps=5))
@@ -125,9 +121,7 @@ class TestRefineJoint:
         with pytest.raises(ValueError):
             RefineConfig(max_steps=-1)
         with pytest.raises(ValueError):
-            RefineConfig(supervision="constraints_only")
-        with pytest.raises(ValueError):
-            RefineConfig(supervision="something_else")
+            RefineConfig(constraints=())
 
 
 class TestConstraintsObjective:

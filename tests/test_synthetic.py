@@ -114,7 +114,7 @@ class TestSampleConstraints:
     def test_constant_depth_cannot_meet_ratio(self):
         flat = render_depth(SceneSpec((Plane(point=(0, 0, 2.0), normal=(0, 0, -1.0)),)), K)
         with pytest.raises(SamplingFailureError):
-            sample_constraints(flat, K, 4, rng_seed=0, min_depth_ratio=1.2, max_attempts=2000)
+            sample_constraints(flat, K, 4, rng_seed=0, min_depth_ratio=1.2)
 
     def test_separation_comes_from_unprojection(self):
         cons = sample_constraints(self.depth, K, 3, rng_seed=4, min_depth_ratio=1.2)

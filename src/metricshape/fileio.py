@@ -54,10 +54,9 @@ def _read_pfm_tokens(stream: IO[bytes]) -> tuple[bytes, int, int, float]:
     magic = token()
     if magic not in (b"Pf", b"PF"):
         raise DocumentError(f"not a PFM file (magic {magic!r})")
+    fields = token(), token(), token()
     try:
-        width = int(token())
-        height = int(token())
-        scale = float(token())
+        width, height, scale = int(fields[0]), int(fields[1]), float(fields[2])
     except ValueError as exc:
         raise DocumentError(f"malformed PFM header: {exc}") from exc
     if width < 1 or height < 1 or scale == 0.0:
@@ -74,13 +73,18 @@ def _check_payload_fits(stream: IO[bytes], declared: int, what: str) -> None:
         )
 
 
-def _read_pfm_payload(stream: IO[bytes]) -> np.ndarray:
-    magic, width, height, scale = _read_pfm_tokens(stream)
-    channels = 3 if magic == b"PF" else 1
-    count = width * height * channels
+def _read_pfm_payload(path: str) -> np.ndarray:
+    """The PFM file's grid, top row first; every format error names the file."""
+    with open(path, "rb") as stream:
+        try:
+            magic, width, height, scale = _read_pfm_tokens(stream)
+        except DocumentError as exc:
+            raise DocumentError(f"{path}: {exc}") from exc
+        channels = 3 if magic == b"PF" else 1
+        count = width * height * channels
+        _check_payload_fits(stream, 4 * count, path)
+        raw = stream.read(4 * count)
     dtype = "<f4" if scale < 0 else ">f4"
-    _check_payload_fits(stream, 4 * count, "PFM")
-    raw = stream.read(4 * count)
     data = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     shape = (height, width) if channels == 1 else (height, width, 3)
     return np.flipud(data.reshape(shape)).copy()
@@ -93,8 +97,7 @@ def write_depth_pfm(path: str, depth: DepthMap) -> None:
 
 
 def read_depth_pfm(path: str) -> DepthMap:
-    with open(path, "rb") as stream:
-        data = _read_pfm_payload(stream)
+    data = _read_pfm_payload(path)
     if data.ndim != 2:
         raise DocumentError(f"{path}: expected a grayscale PFM depth map")
     return DepthMap.from_values(data)
@@ -106,8 +109,7 @@ def write_field_pfm(path: str, field: IncidenceField) -> None:
 
 
 def read_field_pfm(path: str) -> IncidenceField:
-    with open(path, "rb") as stream:
-        data = _read_pfm_payload(stream)
+    data = _read_pfm_payload(path)
     if data.ndim != 3:
         raise DocumentError(f"{path}: expected a 3-channel PFM incidence field")
     try:

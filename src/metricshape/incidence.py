@@ -112,10 +112,16 @@ def z1_from_rays(rays: np.ndarray) -> IncidenceField:
     return IncidenceField(out)
 
 
-def field_from_intrinsics(k: Intrinsics) -> IncidenceField:
-    """The incidence field of a pinhole camera."""
+def _ray_axes(k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """The x component of each column's rays and the y component of each row's."""
     xs = (np.arange(k.width, dtype=np.float64) - k.cx) / k.fx
     ys = (np.arange(k.height, dtype=np.float64) - k.cy) / k.fy
+    return xs, ys
+
+
+def field_from_intrinsics(k: Intrinsics) -> IncidenceField:
+    """The incidence field of a pinhole camera."""
+    xs, ys = _ray_axes(k)
     rays = np.empty((k.height, k.width, 3))
     rays[..., 0] = xs[None, :]
     rays[..., 1] = ys[:, None]

@@ -22,10 +22,15 @@ from .camera import DepthMap, PointCloud
 from .errors import EmptyCloudError, EmptyOverlapError, ShapeMismatchError
 from .incidence import IncidenceField, compose_residual, unproject_with_field
 
-# Up to this many points a side, one all-pairs matrix (n*m*8 bytes, at most
-# 2 MB) serves both NN directions and scipy is never imported: its import
-# alone adds about 70 % to a small refine's peak memory. Above it, k-d trees.
+# Up to this many points a side, one all-pairs pass serves both NN directions
+# and scipy is never imported: its import alone adds about 70 % to a small
+# refine's peak memory. Above it, k-d trees.
 BRUTE_FORCE_LIMIT = 500
+
+# The all-pairs pass forms its matrix in blocks of rows of at most this many
+# entries (125 KB), below glibc's 128 KiB mmap threshold: a whole matrix is
+# mapped and unmapped per call, with page faults costing about its arithmetic.
+_NN_BLOCK_ENTRIES = 16_000
 
 
 @dataclass(frozen=True)
@@ -120,10 +125,8 @@ def _squared_distance_matrix(query: np.ndarray, reference: np.ndarray) -> np.nda
     Summed one coordinate at a time, (dx*dx + dy*dy) + dz*dz: the order
     ``((query[:, None] - reference[None]) ** 2).sum(axis=2)`` uses, so the
     bits are the same, and (a-b)^2 == (b-a)^2 makes the transpose the
-    reference-to-query matrix exactly. The result holds n*m*8 bytes, 2 MB
-    at ``BRUTE_FORCE_LIMIT`` points a side. One scratch matrix of that size
-    serves y and z: at these sizes a fresh matrix's page faults cost more
-    than its arithmetic.
+    reference-to-query matrix exactly, and a block of query rows gives the
+    same rows as the whole matrix. One scratch matrix serves y and z.
     """
     d2 = np.subtract.outer(query[:, 0], reference[:, 0])
     d2 *= d2
@@ -168,14 +171,25 @@ def _mutual_nearest(
     """Nearest-neighbour pass both ways: (idx_pq, d2_pq, idx_qp, d2_qp).
 
     While neither cloud exceeds ``BRUTE_FORCE_LIMIT`` points, one all-pairs
-    matrix serves both directions: its rows give P->Q and the rows of its
-    transpose give Q->P, with the bits of two separate all-pairs passes.
+    pass serves both directions, with the bits of two separate all-pairs
+    passes. It walks the matrix in blocks of rows: each block's rows give
+    P->Q, and a running per-column minimum, replaced only where a later
+    block is strictly smaller, gives Q->P with ties on the lowest index.
     Above the limit, one k-d tree query per direction.
     """
     if max(len(pa), len(qa)) > BRUTE_FORCE_LIMIT:
         return _nearest_squared(pa, qa, "kdtree") + _nearest_squared(qa, pa, "kdtree")
-    d2 = _squared_distance_matrix(pa, qa)
-    return _row_nearest(d2) + _row_nearest(d2.T)
+    n, m = len(pa), len(qa)
+    rows = max(1, _NN_BLOCK_ENTRIES // m)
+    idx_pq, d2_pq = np.empty(n, dtype=np.intp), np.empty(n)
+    idx_qp, d2_qp = np.zeros(m, dtype=np.intp), np.full(m, np.inf)
+    for start in range(0, n, rows):
+        block = _squared_distance_matrix(pa[start:start + rows], qa)
+        idx_pq[start:start + rows], d2_pq[start:start + rows] = _row_nearest(block)
+        best, d2 = _row_nearest(block.T)
+        closer = d2 < d2_qp
+        idx_qp[closer], d2_qp[closer] = best[closer] + start, d2[closer]
+    return idx_pq, d2_pq, idx_qp, d2_qp
 
 
 def chamfer_distance(p: PointCloud, q: PointCloud) -> LossValue:

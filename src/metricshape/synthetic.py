@@ -15,7 +15,7 @@ import numpy as np
 
 from .camera import DepthMap, Intrinsics, focal_from_fov, unproject_pixel
 from .errors import DegenerateSceneError, SamplingFailureError
-from .incidence import field_from_intrinsics
+from .incidence import _ray_axes
 from .solver import DistanceConstraint
 
 
@@ -89,48 +89,56 @@ def _camera_inside(prim: Primitive) -> bool:
     return False
 
 
-def _plane_hits(prim: Plane, dirs: np.ndarray) -> np.ndarray:
-    n = np.asarray(prim.normal, dtype=np.float64)
-    num = float(n @ np.asarray(prim.point, dtype=np.float64))
-    denom = dirs @ n
-    facing = denom < 0.0
+def _plane_hits(prim: Plane, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    n0, n1, n2 = map(float, prim.normal)
+    p0, p1, p2 = map(float, prim.point)
+    num = n0 * p0 + n1 * p1 + n2 * p2
+    denom = (n0 * xs)[None, :] + (n1 * ys)[:, None] + n2
     with np.errstate(divide="ignore", invalid="ignore"):
         t = num / denom
-    return np.where(facing & (t > 0.0), t, np.inf)
+    t[~((denom < 0.0) & (t > 0.0))] = np.inf
+    return t
 
 
-def _sphere_hits(prim: Sphere, dirs: np.ndarray) -> np.ndarray:
-    center = np.asarray(prim.center, dtype=np.float64)
-    a = (dirs * dirs).sum(axis=-1)
-    b = -2.0 * (dirs @ center)
-    c = float(center @ center) - prim.radius**2
+def _sphere_hits(prim: Sphere, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    c0, c1, c2 = map(float, prim.center)
+    r = float(prim.radius)
+    # ray parameters of the hits solve a t^2 - b t + c = 0
+    a = (xs * xs)[None, :] + (ys * ys)[:, None] + 1.0
+    b = 2.0 * ((c0 * xs)[None, :] + (c1 * ys)[:, None] + c2)
+    c = c0 * c0 + c1 * c1 + c2 * c2 - r * r
     disc = b * b - 4.0 * a * c
-    hit = disc >= 0.0
-    sq = np.sqrt(np.where(hit, disc, 0.0))
-    # camera is outside, so the smaller positive root is the entering hit
-    t = (-b - sq) / (2.0 * a)
-    return np.where(hit & (t > 0.0), t, np.inf)
+    # a ray that misses has disc < 0, so its root is NaN and fails t > 0;
+    # the camera is outside, so the smaller positive root is the entering hit
+    with np.errstate(invalid="ignore"):
+        np.sqrt(disc, out=disc)
+    t = np.subtract(b, disc, out=b)
+    t /= 2.0 * a
+    t[~(t > 0.0)] = np.inf
+    return t
 
 
-def _box_hits(prim: Box, dirs: np.ndarray) -> np.ndarray:
-    t_near = np.full(dirs.shape[:-1], -np.inf)
-    t_far = np.full(dirs.shape[:-1], np.inf)
-    for axis in range(3):
-        lo, hi = prim.min_corner[axis], prim.max_corner[axis]
-        d = dirs[..., axis]
-        zero = d == 0.0
-        inside_slab = lo <= 0.0 <= hi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = np.where(zero, 1.0, lo / d)
-            t2 = np.where(zero, 1.0, hi / d)
-        near = np.minimum(t1, t2)
-        far = np.maximum(t1, t2)
-        near = np.where(zero, -np.inf if inside_slab else np.inf, near)
-        far = np.where(zero, np.inf if inside_slab else -np.inf, far)
-        t_near = np.maximum(t_near, near)
-        t_far = np.minimum(t_far, far)
-    hit = (t_near <= t_far) & (t_near > 0.0)
-    return np.where(hit, t_near, np.inf)
+def _slab(lo: float, hi: float, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry and exit ray parameters of the slab lo <= x <= hi, per ray component d."""
+    zero = d == 0.0
+    inside_slab = lo <= 0.0 <= hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = np.where(zero, 1.0, lo / d)
+        t2 = np.where(zero, 1.0, hi / d)
+    near = np.where(zero, -np.inf if inside_slab else np.inf, np.minimum(t1, t2))
+    far = np.where(zero, np.inf if inside_slab else -np.inf, np.maximum(t1, t2))
+    return near, far
+
+
+def _box_hits(prim: Box, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    (x0, y0, z0), (x1, y1, z1) = prim.min_corner, prim.max_corner
+    near_x, far_x = _slab(x0, x1, xs)
+    near_y, far_y = _slab(y0, y1, ys)
+    # every ray's z component is 1, so the z slab is [z0, z1] itself
+    t_near = np.maximum(np.maximum(near_x, z0)[None, :], near_y[:, None])
+    t_far = np.minimum(np.minimum(far_x, z1)[None, :], far_y[:, None])
+    t_near[~((t_near <= t_far) & (t_near > 0.0))] = np.inf
+    return t_near
 
 
 def render_depth(scene: SceneSpec, k: Intrinsics) -> DepthMap:
@@ -138,22 +146,26 @@ def render_depth(scene: SceneSpec, k: Intrinsics) -> DepthMap:
 
     Rays are the camera's incidence rays (z component 1), so the ray
     parameter at the hit *is* the z-depth. Pixels with no hit are invalid.
+    Hits are formed from the per-column x and per-row y ray components by
+    elementwise operations in a fixed order, so their bits do not depend on
+    the BLAS build.
     """
     for prim in scene.primitives:
         if _camera_inside(prim):
             raise DegenerateSceneError(f"camera origin lies inside {prim}")
-    dirs = field_from_intrinsics(k).rays
+    xs, ys = _ray_axes(k)
     t_best = np.full((k.height, k.width), np.inf)
     for prim in scene.primitives:
         if isinstance(prim, Plane):
-            t = _plane_hits(prim, dirs)
+            t = _plane_hits(prim, xs, ys)
         elif isinstance(prim, Sphere):
-            t = _sphere_hits(prim, dirs)
+            t = _sphere_hits(prim, xs, ys)
         else:
-            t = _box_hits(prim, dirs)
-        t_best = np.minimum(t_best, t)
+            t = _box_hits(prim, xs, ys)
+        np.minimum(t_best, t, out=t_best)
     valid = np.isfinite(t_best)
-    return DepthMap(np.where(valid, t_best, 0.0), valid)
+    t_best[~valid] = 0.0
+    return DepthMap(t_best, valid)
 
 
 SAMPLING_ATTEMPTS_MIN = 10_000

@@ -355,6 +355,22 @@ class TestEval:
         fileio.write_depth_pfm(gpath, gt)
         assert main(["eval", gpath, gpath, "--cap", "10"]) == 1
 
+    @pytest.mark.parametrize("bad_side", [0, 1], ids=["pred", "gt"])
+    def test_truncated_pfm_is_named(self, tmp_path, bad_side):
+        good = str(tmp_path / "good.pfm")
+        fileio.write_depth_pfm(good, DepthMap(np.ones((2, 2)), np.ones((2, 2), bool)))
+        bad = tmp_path / "truncated.pfm"
+        bad.write_bytes(b"Pf\n2")
+        paths = [good, good]
+        paths[bad_side] = str(bad)
+        done = subprocess.run(
+            [sys.executable, "-m", "metricshape", "eval", *paths],
+            env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert f"error: {bad}: truncated PFM header" in done.stderr
+        assert "Traceback" not in done.stderr
+
 
 class TestRefineCommand:
     def test_zero_steps_preserves_depth_bytes(self, scene_file, tmp_path):

@@ -19,6 +19,14 @@ def random_depth(rng, h=13, w=17):
     return DepthMap(np.where(valid, values, 0.0), valid)
 
 
+BAD_PFM = {
+    "truncated-header": b"Pf\n64",
+    "bad-magic": b"P6\n2 2\n-1.0\n",
+    "malformed-header": b"Pf\ntwo 2\n-1.0\n",
+    "short-payload": b"Pf\n2 2\n-1.0\n" + b"\x00" * 4,
+}
+
+
 class TestPfm:
     def test_depth_round_trip_is_float32_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -88,6 +96,14 @@ class TestPfm:
         channels = 3 if magic == b"PF" else 1
         with pytest.raises(DocumentError, match=f"header needs {4 * 64 * 48 * channels} payload"):
             read(path)
+
+    @pytest.mark.parametrize("read", [fileio.read_depth_pfm, fileio.read_field_pfm])
+    @pytest.mark.parametrize("kind", BAD_PFM)
+    def test_format_errors_name_the_file(self, tmp_path, kind, read):
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(BAD_PFM[kind])
+        with pytest.raises(DocumentError, match=f"^{re.escape(str(path))}: "):
+            read(str(path))
 
 
 def float32_reference_text(value: float) -> str:

@@ -18,9 +18,12 @@ from metricshape.incidence import (
 )
 from metricshape.losses import (
     BRUTE_FORCE_LIMIT,
+    _NN_BLOCK_ENTRIES,
     LossWeights,
     _mutual_nearest,
     _nearest_squared,
+    _row_nearest,
+    _squared_distance_matrix,
     chamfer_distance,
     cosine_incidence_loss,
     silog_loss,
@@ -249,6 +252,29 @@ class TestAllPairsNearestProperty:
         assert lv.value.hex() == value.hex()
         assert _bits(lv.gradients["points_p"]) == _bits(grad_p)
         assert _bits(lv.gradients["points_q"]) == _bits(grad_q)
+
+
+# rows per block at BRUTE_FORCE_LIMIT points a side, and the sizes around it
+_BLOCK = _NN_BLOCK_ENTRIES // BRUTE_FORCE_LIMIT
+_BLOCK_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, BRUTE_FORCE_LIMIT - 1, BRUTE_FORCE_LIMIT)
+
+
+class TestMutualNearestBlocks:
+    """The all-pairs pass, walked in blocks of rows, equals one whole matrix
+    read by rows and by columns, ties on the lowest index included."""
+
+    @pytest.mark.parametrize("m", _BLOCK_SIZES)
+    @pytest.mark.parametrize("n", _BLOCK_SIZES)
+    def test_matches_one_matrix(self, n, m):
+        rng = np.random.default_rng([n, m])
+        pa = _cloud(rng, n, "dup")
+        qa = _cloud(rng, m, "dup")
+        shared = min(n, m) // 2
+        qa[:shared] = pa[:shared]
+        d2 = _squared_distance_matrix(pa, qa)
+        expected = _row_nearest(d2) + _row_nearest(d2.T)
+        for mine, ref in zip(_mutual_nearest(pa, qa), expected):
+            assert mine.dtype == ref.dtype and _bits(mine) == _bits(ref)
 
 
 class TestWeights:

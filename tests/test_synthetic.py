@@ -84,6 +84,86 @@ class TestRenderDepth:
         assert np.abs(residuals).max() < 1e-9
 
 
+def _reference_hit(prim, x, y):
+    """Ray parameter of the nearest front-facing hit of ray (x, y, 1), in
+    render_depth's order of operations, with Python floats."""
+    if isinstance(prim, Plane):
+        (n0, n1, n2), (p0, p1, p2) = prim.normal, prim.point
+        denom = n0 * x + n1 * y + n2
+        if denom < 0.0:
+            t = (n0 * p0 + n1 * p1 + n2 * p2) / denom
+            if t > 0.0:
+                return t
+        return math.inf
+    if isinstance(prim, Sphere):
+        (c0, c1, c2), r = prim.center, prim.radius
+        a = x * x + y * y + 1.0
+        b = 2.0 * (c0 * x + c1 * y + c2)
+        disc = b * b - 4.0 * a * (c0 * c0 + c1 * c1 + c2 * c2 - r * r)
+        if disc >= 0.0:
+            t = (b - math.sqrt(disc)) / (2.0 * a)
+            if t > 0.0:
+                return t
+        return math.inf
+    t_near, t_far = -math.inf, math.inf
+    for lo, hi, d in zip(prim.min_corner, prim.max_corner, (x, y, 1.0)):
+        if d == 0.0:
+            if not lo <= 0.0 <= hi:
+                return math.inf
+            continue
+        t1, t2 = lo / d, hi / d
+        t_near, t_far = max(t_near, min(t1, t2)), min(t_far, max(t1, t2))
+    return t_near if t_near <= t_far and t_near > 0.0 else math.inf
+
+
+def _reference_render(scene, k):
+    values = np.zeros((k.height, k.width))
+    for v in range(k.height):
+        y = (v - k.cy) / k.fy
+        for u in range(k.width):
+            x = (u - k.cx) / k.fx
+            values[v, u] = min(_reference_hit(prim, x, y) for prim in scene.primitives)
+    valid = np.isfinite(values)
+    values[~valid] = 0.0
+    return values, valid
+
+
+MIXED = (
+    Plane(point=(0.0, 0.0, 6.0), normal=(0.2, -0.3, -1.0)),
+    Sphere(center=(0.4, -0.2, 3.0), radius=0.8),
+    # x slab holds 0 and y slab does not, then the other way round: the ray
+    # column and row with a zero component take both of the d == 0 rules
+    Box(min_corner=(-0.2, 0.2, 1.5), max_corner=(0.3, 0.6, 2.0)),
+    Box(min_corner=(-0.9, -0.5, 2.0), max_corner=(-0.1, 0.4, 2.8)),
+)
+REFERENCE_SCENES = {
+    "mixed": MIXED,
+    **{f"mixed-{i}": (prim,) for i, prim in enumerate(MIXED)},
+    # a floor seen edge-on along the principal row, a wall almost along the rays
+    "grazing": (Plane(point=(0.0, 0.5, 0.0), normal=(0.0, -1.0, 0.0)),
+                Plane(point=(0.3, 0.0, 0.0), normal=(-1.0, 0.0, 1e-3))),
+    # spans z = -0.4 ... 0.6 and clears the camera
+    "behind": (Sphere(center=(0.6, 0.1, 0.1), radius=0.5),
+               Plane(point=(0.0, 0.0, 4.0), normal=(0.0, 0.0, -1.0))),
+}
+
+
+class TestRenderMatchesPerPixelCast:
+    """At an integer principal point the ray column and row with a zero
+    component exist; at a fractional one they do not."""
+
+    @pytest.mark.parametrize("cx, cy", [(32.0, 24.0), (31.37, 23.61)], ids=["integer", "fractional"])
+    @pytest.mark.parametrize("name", REFERENCE_SCENES)
+    def test_bit_for_bit(self, name, cx, cy):
+        k = Intrinsics(fx=40.0, fy=36.0, cx=cx, cy=cy, width=64, height=48)
+        scene = SceneSpec(REFERENCE_SCENES[name])
+        values, valid = _reference_render(scene, k)
+        depth = render_depth(scene, k)
+        assert valid.any()
+        np.testing.assert_array_equal(depth.valid, valid)
+        assert depth.values.tobytes() == values.tobytes()
+
+
 class TestSampleConstraints:
     def setup_method(self):
         self.scene = SceneSpec((Plane(point=(0, 0, 2.0), normal=(0.0, 1.0, -1.0)),))

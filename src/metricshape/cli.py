@@ -8,20 +8,24 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, astuple
 
 from . import fileio
 from .camera import DepthMap, Intrinsics
 from .errors import DegenerateConstraintsError, DocumentError
 from .incidence import (
+    CANONICAL_FOV_DEG,
     CanonicalCamera,
     field_from_intrinsics,
     unproject_with_field,
 )
 from .losses import LossWeights
-from .metrics import depth_metrics, fov_error_stats, shape_metrics
+from .metrics import DEFAULT_F1_THRESHOLDS, depth_metrics, fov_error_stats, shape_metrics
 from .refine import RefineConfig, RefineState, refine_joint
 from .solver import canonical_params, solve_minimal, solve_overdetermined
-from .synthetic import NoiseSpec, make_camera, perturb, render_depth, sample_constraints
+from .synthetic import (
+    MIN_DEPTH_RATIO, NoiseSpec, make_camera, perturb, render_depth, sample_constraints,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -38,6 +42,12 @@ def _read_intrinsics_for(path: str, depth: DepthMap) -> Intrinsics:
             f"the depth map is {depth.width}x{depth.height}"
         )
     return k
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named options the command line set, as keyword arguments: an
+    option left out takes the library's default."""
+    return {name: getattr(args, name) for name in names if name in args}
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -64,7 +74,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         "iterations": report.iterations,
         "final_residual_norm": report.final_residual_norm,
         "condition_warning": report.condition_warning,
-        "intrinsics": fileio.intrinsics_document(report.intrinsics),
+        "intrinsics": asdict(report.intrinsics),
     }
     sys.stdout.write(fileio.write_json_document(None, doc))
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
@@ -87,19 +97,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     pred = fileio.read_depth_pfm(args.pred_depth)
     gt = fileio.read_depth_pfm(args.gt_depth)
     dm = depth_metrics(pred, gt, cap=args.cap)
-    doc = {
-        "depth": {
-            "delta1": dm.delta1, "delta2": dm.delta2, "delta3": dm.delta3,
-            "a_rel": dm.a_rel, "sq_rel": dm.sq_rel, "rmse": dm.rmse,
-            "rmse_log": dm.rmse_log, "log10": dm.log10, "n_valid": dm.n_valid,
-        }
-    }
+    doc = {"depth": asdict(dm)}
     if (args.pred_intrinsics is None) != (args.gt_intrinsics is None):
         raise DocumentError("--pred-intrinsics and --gt-intrinsics must be given together")
     if args.pred_intrinsics is not None:
         kp = _read_intrinsics_for(args.pred_intrinsics, pred)
         kg = _read_intrinsics_for(args.gt_intrinsics, gt)
-        fov = fov_error_stats([kp], [kg], axis=args.fov_axis)
+        fov = fov_error_stats([kp], [kg], **_given(args, "axis"))
         doc["fov"] = {"mean": fov.mean, "median": fov.median}
         cloud_pred = unproject_with_field(field_from_intrinsics(kp), pred)
         cloud_gt = unproject_with_field(field_from_intrinsics(kg), gt)
@@ -114,13 +118,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     scene = fileio.read_scene(args.scene)
+    noise = NoiseSpec(distance_sigma_rel=args.noise, seed=args.seed)
     try:
         seed = int(args.camera)
     except ValueError:
         seed = None
     if seed is not None:
-        k = make_camera(seed, args.width, args.height,
-                        center_jitter=args.center_jitter)
+        k = make_camera(seed, args.width, args.height, **_given(args, "center_jitter"))
     else:
         k = fileio.read_intrinsics(args.camera)
     depth = render_depth(scene, k)
@@ -132,10 +136,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             depth, k, args.constraints, rng_seed=args.seed,
             min_depth_ratio=args.min_depth_ratio,
         )
-        if args.noise > 0.0:
-            constraints, _ = perturb(
-                constraints, depth, NoiseSpec(distance_sigma_rel=args.noise, seed=args.seed)
-            )
+        constraints, _ = perturb(constraints, depth, noise)
         fileio.write_constraints(f"{args.out_prefix}_constraints.json", constraints)
     return EXIT_OK
 
@@ -144,12 +145,10 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     init_depth = fileio.read_depth_pfm(args.depth)
     gt_depth = fileio.read_depth_pfm(args.gt_depth)
     gt_k = _read_intrinsics_for(args.gt_intrinsics, gt_depth)
-    alpha, beta, gamma, lam = args.weights
-    weights = LossWeights(alpha=alpha, beta=beta, gamma=gamma, lam=lam)
     cano = CanonicalCamera.for_image(gt_depth.width, gt_depth.height, fov_deg=args.init_fov)
     state = RefineState.from_maps(init_depth, cano.intrinsics(gt_depth.width, gt_depth.height))
     cfg = RefineConfig(
-        weights=weights, depth_lr=args.lr_depth, theta_lr=args.lr_theta,
+        weights=LossWeights(*args.weights), depth_lr=args.lr_depth, theta_lr=args.lr_theta,
         max_steps=args.steps,
     )
     final, trace = refine_joint(state, gt_depth, field_from_intrinsics(gt_k), cano, cfg)
@@ -173,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="recover intrinsics from depth + distance constraints")
     p.add_argument("depth", help="PFM depth map")
     p.add_argument("constraints", help="JSON constraint records")
-    p.add_argument("--init-fov", type=float, default=60.0, help="initial FoV guess in degrees")
+    p.add_argument("--init-fov", type=float, default=CANONICAL_FOV_DEG,
+                   help="initial FoV guess in degrees")
     p.add_argument("--robust", action="store_true", help="Huber-robustified residuals")
     p.add_argument("--out", help="write recovered intrinsics JSON here")
     p.set_defaults(func=_cmd_calibrate)
@@ -191,10 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gt_depth", help="ground-truth PFM depth map")
     p.add_argument("--pred-intrinsics", help="predicted intrinsics JSON")
     p.add_argument("--gt-intrinsics", help="ground-truth intrinsics JSON")
-    p.add_argument("--cap", type=float, default=None, help="mask GT pixels deeper than this")
-    p.add_argument("--fov-axis", choices=("x", "y", "both"), default="both")
+    p.add_argument("--cap", type=float, help="mask GT pixels deeper than this")
+    p.add_argument("--fov-axis", dest="axis", choices=("x", "y", "both"),
+                   default=argparse.SUPPRESS)
     p.add_argument(
-        "--f1-thresholds", type=float, nargs="+", default=[0.05, 0.1, 0.3, 0.5, 0.75],
+        "--f1-thresholds", type=float, nargs="+", default=DEFAULT_F1_THRESHOLDS,
         help="F1 match radii in meters",
     )
     p.add_argument("--out", help="also write the metrics JSON here")
@@ -205,10 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--camera", required=True, help="integer seed or intrinsics JSON path")
     p.add_argument("--width", type=int, default=640)
     p.add_argument("--height", type=int, default=480)
-    p.add_argument("--center-jitter", type=float, default=0.0)
+    p.add_argument("--center-jitter", type=float, default=argparse.SUPPRESS)
     p.add_argument("--constraints", type=int, default=4, help="number of pairs to sample")
-    p.add_argument("--min-depth-ratio", type=float, default=1.2)
-    p.add_argument("--noise", type=float, default=0.0, help="relative distance noise sigma")
+    p.add_argument("--min-depth-ratio", type=float, default=MIN_DEPTH_RATIO)
+    p.add_argument("--noise", type=float, default=NoiseSpec.distance_sigma_rel,
+                   help="relative distance noise sigma")
     p.add_argument("--seed", type=int, default=0, help="sampling / noise seed")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_synth)
@@ -217,14 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("depth", help="initial PFM depth map")
     p.add_argument("gt_depth", help="ground-truth PFM depth map")
     p.add_argument("gt_intrinsics", help="ground-truth intrinsics JSON")
-    p.add_argument("--init-fov", type=float, default=60.0)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--init-fov", type=float, default=CANONICAL_FOV_DEG)
+    p.add_argument("--steps", type=int, default=RefineConfig.max_steps)
     p.add_argument(
-        "--weights", type=float, nargs=4, default=[1.0, 10.0, 1.0, 0.5],
+        "--weights", type=float, nargs=4, default=astuple(LossWeights()),
         metavar=("ALPHA", "BETA", "GAMMA", "LAMBDA"),
     )
-    p.add_argument("--lr-depth", type=float, default=0.1)
-    p.add_argument("--lr-theta", type=float, default=0.5)
+    p.add_argument("--lr-depth", type=float, default=RefineConfig.depth_lr)
+    p.add_argument("--lr-theta", type=float, default=RefineConfig.theta_lr)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_refine)
 

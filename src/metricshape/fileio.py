@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from typing import IO, Any
 
 import numpy as np
@@ -252,16 +253,8 @@ def _number(obj: dict, name: str, where: str) -> float:
     return float(value)
 
 
-def intrinsics_document(k: Intrinsics) -> dict:
-    """The JSON object of an intrinsics file."""
-    return {
-        "fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy,
-        "width": k.width, "height": k.height,
-    }
-
-
 def write_intrinsics(path: str, k: Intrinsics) -> None:
-    write_json_document(path, intrinsics_document(k))
+    write_json_document(path, asdict(k))
 
 
 def read_intrinsics(path: str) -> Intrinsics:
@@ -343,10 +336,11 @@ def read_constraints(path: str, depth: DepthMap | None = None) -> list[DistanceC
     return out
 
 
-_PRIMITIVE_FIELDS = {
-    "plane": ("point", "normal"),
-    "sphere": ("center", "radius"),
-    "box": ("min", "max"),
+# each primitive's class and its document fields, in the order of its constructor
+_PRIMITIVES = {
+    "plane": (Plane, ("point", "normal")),
+    "sphere": (Sphere, ("center", "radius")),
+    "box": (Box, ("min", "max")),
 }
 
 
@@ -372,19 +366,13 @@ def read_scene(path: str) -> SceneSpec:
         if not isinstance(rec, dict) or "type" not in rec:
             raise DocumentError(f"{where}: each primitive needs a 'type' field")
         kind = rec["type"]
-        if kind not in _PRIMITIVE_FIELDS:
+        if not isinstance(kind, str) or kind not in _PRIMITIVES:
             raise DocumentError(f"{where}: unknown primitive type {kind!r}")
-        _check_fields(rec, ("type",) + _PRIMITIVE_FIELDS[kind], (), where)
+        cls, names = _PRIMITIVES[kind]
+        _check_fields(rec, ("type",) + names, (), where)
+        values = [(_number if name == "radius" else _vector3)(rec, name, where) for name in names]
         try:
-            if kind == "plane":
-                prims.append(Plane(point=_vector3(rec, "point", where),
-                                   normal=_vector3(rec, "normal", where)))
-            elif kind == "sphere":
-                prims.append(Sphere(center=_vector3(rec, "center", where),
-                                    radius=_number(rec, "radius", where)))
-            else:
-                prims.append(Box(min_corner=_vector3(rec, "min", where),
-                                 max_corner=_vector3(rec, "max", where)))
+            prims.append(cls(*values))
         except ValueError as exc:
             raise DocumentError(f"{where}: {exc}") from exc
     return SceneSpec(primitives=tuple(prims))

@@ -24,6 +24,11 @@ import numpy as np
 from .camera import DepthMap, Intrinsics, PointCloud, focal_from_fov
 from .errors import DegenerateFieldError, ShapeMismatchError
 
+# FoV of the canonical prior camera on the longer image side, in degrees:
+# comfortably inside the 40-120 degree range of ordinary cameras; results
+# are not sensitive to the exact choice
+CANONICAL_FOV_DEG = 60.0
+
 
 @dataclass(frozen=True)
 class IncidenceField:
@@ -72,12 +77,10 @@ class CanonicalCamera:
             raise ValueError(f"canonical focal length must be positive, got {self.f_c}")
 
     @classmethod
-    def for_image(cls, width: int, height: int, fov_deg: float = 60.0) -> "CanonicalCamera":
-        """Default prior: the given FoV on the longer image side, centered.
-
-        60 degrees sits comfortably inside the 40-120 degree range of
-        ordinary cameras; results are not sensitive to the exact choice.
-        """
+    def for_image(
+        cls, width: int, height: int, fov_deg: float = CANONICAL_FOV_DEG
+    ) -> "CanonicalCamera":
+        """Default prior: the given FoV on the longer image side, centered."""
         return cls(focal_from_fov(fov_deg, max(width, height)), width / 2.0, height / 2.0)
 
     def intrinsics(self, width: int, height: int) -> Intrinsics:

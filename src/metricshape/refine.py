@@ -74,18 +74,20 @@ class RefineState:
         return cls(log_depth=log_depth, theta=theta)
 
     def to_intrinsics(self, width: int, height: int) -> Intrinsics:
-        return Intrinsics(
-            fx=math.exp(self.theta[0]),
-            fy=math.exp(self.theta[1]),
-            cx=float(self.theta[2]),
-            cy=float(self.theta[3]),
-            width=width,
-            height=height,
-        )
+        return _intrinsics(self.theta, width, height)
 
     def to_depth_map(self, valid: np.ndarray) -> DepthMap:
-        values = np.exp(self.log_depth)
-        return DepthMap(np.where(valid, values, 0.0), valid)
+        return _depth_map(self.log_depth, valid)
+
+
+def _intrinsics(theta: np.ndarray, width: int, height: int) -> Intrinsics:
+    return Intrinsics(
+        math.exp(theta[0]), math.exp(theta[1]), float(theta[2]), float(theta[3]), width, height
+    )
+
+
+def _depth_map(log_depth: np.ndarray, valid: np.ndarray) -> DepthMap:
+    return DepthMap(np.where(valid, np.exp(log_depth), 0.0), valid)
 
 
 @dataclass(frozen=True)
@@ -130,9 +132,8 @@ def _full_gt_objective(
     keep_y = np.abs(cano_grid.y) > SINGULARITY_EPS
 
     def evaluate(log_depth: np.ndarray, theta: np.ndarray):
-        depth = DepthMap(np.where(valid, np.exp(log_depth), 0.0), valid)
-        fx, fy = math.exp(theta[0]), math.exp(theta[1])
-        k = Intrinsics(fx=fx, fy=fy, cx=float(theta[2]), cy=float(theta[3]), width=w, height=h)
+        depth = _depth_map(log_depth, valid)
+        k = _intrinsics(theta, w, h)
         res, _ = extract_residual(field_from_intrinsics(k), cano_grid)
         lv = total_loss(depth, gt_depth, res, cano_grid, gt_field, weights)
 
@@ -147,8 +148,8 @@ def _full_gt_objective(
             [
                 -float((gx * res.x[keep_x]).sum()),
                 -float((gy * res.y[keep_y]).sum()),
-                -float((gx / (fx * cano_grid.x[keep_x])).sum()),
-                -float((gy / (fy * cano_grid.y[keep_y])).sum()),
+                -float((gx / (k.fx * cano_grid.x[keep_x])).sum()),
+                -float((gy / (k.fy * cano_grid.y[keep_y])).sum()),
             ]
         )
         return lv.value, grad_log_depth, grad_theta

@@ -40,7 +40,7 @@ import numpy as np
 
 from .camera import Intrinsics
 from .errors import DegenerateConstraintsError, InfeasibleConstraintError
-from .incidence import CanonicalCamera
+from .incidence import CANONICAL_FOV_DEG, CanonicalCamera
 
 # Levenberg-Marquardt schedule. Convergence is declared when the scaled
 # residual norm drops below TOL_ABS, when an accepted step is shorter than
@@ -158,7 +158,7 @@ class SolveReport:
     stop_reason: str
 
 
-def canonical_params(width: int, height: int, fov_deg: float = 60.0) -> SolverParams:
+def canonical_params(width: int, height: int, fov_deg: float = CANONICAL_FOV_DEG) -> SolverParams:
     """Initialization from the canonical prior: given FoV, centered principal point."""
     cano = CanonicalCamera.for_image(width, height, fov_deg)
     return SolverParams.from_intrinsics(cano.intrinsics(width, height))

@@ -94,7 +94,8 @@ def _plane_hits(prim: Plane, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     p0, p1, p2 = map(float, prim.point)
     num = n0 * p0 + n1 * p1 + n2 * p2
     denom = (n0 * xs)[None, :] + (n1 * ys)[:, None] + n2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a ray (nearly) parallel to the plane divides to +-inf or NaN: no hit
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = num / denom
     t[~((denom < 0.0) & (t > 0.0))] = np.inf
     return t
@@ -122,7 +123,7 @@ def _slab(lo: float, hi: float, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entry and exit ray parameters of the slab lo <= x <= hi, per ray component d."""
     zero = d == 0.0
     inside_slab = lo <= 0.0 <= hi
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t1 = np.where(zero, 1.0, lo / d)
         t2 = np.where(zero, 1.0, hi / d)
     near = np.where(zero, -np.inf if inside_slab else np.inf, np.minimum(t1, t2))
@@ -170,6 +171,7 @@ def render_depth(scene: SceneSpec, k: Intrinsics) -> DepthMap:
 
 SAMPLING_ATTEMPTS_MIN = 10_000
 SAMPLING_ATTEMPTS_PER_PAIR = 500
+MIN_DEPTH_RATIO = 1.2
 
 
 def sample_constraints(
@@ -177,7 +179,7 @@ def sample_constraints(
     k: Intrinsics,
     count: int,
     rng_seed: int,
-    min_depth_ratio: float = 1.2,
+    min_depth_ratio: float = MIN_DEPTH_RATIO,
 ) -> list[DistanceConstraint]:
     """Sample pixel-pair constraints with ground-truth separations.
 
@@ -190,7 +192,7 @@ def sample_constraints(
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if min_depth_ratio < 1.0:
+    if not min_depth_ratio >= 1.0:
         raise ValueError(f"min_depth_ratio must be >= 1, got {min_depth_ratio}")
     flat_valid = np.flatnonzero(depth.valid.ravel())
     if flat_valid.size < 2 * count:
@@ -282,6 +284,8 @@ def make_camera(
     lo, hi = fov_range
     if not (0.0 < lo <= hi < 180.0):
         raise ValueError(f"fov_range must satisfy 0 < lo <= hi < 180, got {fov_range}")
+    if not (math.isfinite(center_jitter) and center_jitter >= 0.0):
+        raise ValueError(f"center_jitter must be finite and non-negative, got {center_jitter}")
     rng = np.random.default_rng(rng_seed)
     fx = focal_from_fov(float(rng.uniform(lo, hi)), width)
     fy = focal_from_fov(float(rng.uniform(lo, hi)), height)

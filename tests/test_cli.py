@@ -65,8 +65,10 @@ class TestSynth:
     def test_distance_noise_changes_constraints_only(self, scene_file, tmp_path):
         clean = synth(scene_file, tmp_path, "clean")
         noisy = synth(scene_file, tmp_path, "noisy", noise=0.01)
+        zero = synth(scene_file, tmp_path, "zero", noise=0.0)
         assert open(clean[0], "rb").read() == open(noisy[0], "rb").read()
         assert open(clean[2], "rb").read() != open(noisy[2], "rb").read()
+        assert open(clean[2], "rb").read() == open(zero[2], "rb").read()
 
     def test_camera_can_come_from_file(self, scene_file, tmp_path):
         kpath = tmp_path / "cam.json"
@@ -79,6 +81,25 @@ class TestSynth:
         ])
         assert code == 0
         assert fileio.read_intrinsics(str(tmp_path / "filecam_intrinsics.json")).fx == 150.0
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("noise", "nan", "distance_sigma_rel"), ("noise", "-0.5", "distance_sigma_rel"),
+        ("noise", "inf", "distance_sigma_rel"),
+        ("center-jitter", "nan", "center_jitter"), ("center-jitter", "-1", "center_jitter"),
+    ])
+    def test_bad_setting_exits_one_before_writing(
+        self, scene_file, tmp_path, capsys, flag, value, named
+    ):
+        code = main(["synth", scene_file, "--camera", "7", "--width", "32", "--height", "24",
+                     f"--{flag}", value, "--out-prefix", str(tmp_path / "bad")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.glob("bad_*"))
+
+    def test_nan_depth_ratio_exits_one(self, scene_file, tmp_path):
+        code = main(["synth", scene_file, "--camera", "7", "--width", "32", "--height", "24",
+                     "--min-depth-ratio", "nan", "--out-prefix", str(tmp_path / "x")])
+        assert code == 1
 
     def test_degenerate_scene_is_input_error(self, tmp_path):
         path = tmp_path / "inside.json"
@@ -418,13 +439,32 @@ class TestRefineCommand:
         assert code == 1
 
     def test_default_weights(self):
-        from metricshape.cli import build_parser
+        """Every default the library owns is the library's value; options
+        that only pass a keyword through are absent unless given."""
+        from dataclasses import astuple
 
-        args = build_parser().parse_args(
-            ["refine", "a.pfm", "b.pfm", "k.json", "--out-prefix", "x"]
-        )
-        assert args.weights == [1.0, 10.0, 1.0, 0.5]
-        assert args.init_fov == 60.0
+        from metricshape.cli import build_parser
+        from metricshape.incidence import CANONICAL_FOV_DEG
+        from metricshape.losses import LossWeights
+        from metricshape.metrics import DEFAULT_F1_THRESHOLDS
+        from metricshape.refine import RefineConfig
+        from metricshape.synthetic import MIN_DEPTH_RATIO, NoiseSpec
+
+        parse = build_parser().parse_args
+        refine = parse(["refine", "a.pfm", "b.pfm", "k.json", "--out-prefix", "x"])
+        cfg = RefineConfig()
+        assert tuple(refine.weights) == astuple(LossWeights()) == (1.0, 10.0, 1.0, 0.5)
+        assert refine.init_fov == CANONICAL_FOV_DEG == 60.0
+        assert (refine.steps, refine.lr_depth, refine.lr_theta) == (
+            cfg.max_steps, cfg.depth_lr, cfg.theta_lr)
+        assert parse(["calibrate", "d.pfm", "c.json"]).init_fov == CANONICAL_FOV_DEG
+        evaluate = parse(["eval", "p.pfm", "g.pfm"])
+        assert tuple(evaluate.f1_thresholds) == DEFAULT_F1_THRESHOLDS
+        assert evaluate.cap is None and "axis" not in evaluate
+        synth = parse(["synth", "s.json", "--camera", "1", "--out-prefix", "x"])
+        assert synth.min_depth_ratio == MIN_DEPTH_RATIO
+        assert synth.noise == NoiseSpec().distance_sigma_rel
+        assert "center_jitter" not in synth
 
 
 class TestIntrinsicsMatchDepthMap:

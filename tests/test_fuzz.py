@@ -1,14 +1,14 @@
-"""Property tests of the exit-code contract: whatever the documents hold,
-`calibrate`, `unproject` and `eval` return 0, 1, 2 or 3 and raise nothing.
+"""Property tests of the exit-code contract: whatever the documents and
+settings hold, `synth`, `calibrate`, `unproject` and `eval` return 0, 1, 2
+or 3 and raise nothing.
 
 Most documents are well formed, with each field sometimes replaced by an
 arbitrary JSON value, so the examples reach past the parsers into the
-solvers and metrics; the rest are arbitrary JSON or bytes. Every size a
-document declares is tiny, so a check that fails to run before an
-allocation still allocates little. `refine` is left out: an overflowing
-line-search trial can still raise `OverflowError` there. So is
-`synth --camera doc.json`, which renders at whatever size the document
-declares.
+renderer, solvers and metrics; the rest are arbitrary JSON or bytes. Every
+size a document declares is tiny, so a check that fails to run before an
+allocation still allocates little; that includes the camera documents
+`synth` renders at. `refine` is left out: an overflowing line-search trial
+can still raise `OverflowError` there.
 """
 
 import json
@@ -117,6 +117,26 @@ def constraints(draw, w: int, h: int) -> bytes:
     return draw(document(st.just(records)))
 
 
+@st.composite
+def scene(draw) -> bytes:
+    """One to three primitives in front of the camera, before corruption."""
+    coord = st.floats(-3.0, 3.0)
+    ahead = st.tuples(coord, coord, st.floats(0.5, 6.0)).map(list)
+    facing = st.tuples(coord, coord, st.floats(-2.0, -0.2)).map(list)
+    prims = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["plane", "sphere", "box"]))
+        if kind == "plane":
+            values = {"point": draw(ahead), "normal": draw(facing)}
+        elif kind == "sphere":
+            values = {"center": draw(ahead), "radius": draw(st.floats(0.1, 2.0))}
+        else:
+            lo, size = draw(ahead), draw(st.tuples(*[st.floats(0.1, 2.0)] * 3))
+            values = {"min": lo, "max": [a + b for a, b in zip(lo, size)]}
+        prims.append(draw(lax({"type": kind, **values})))
+    return draw(document(st.just({"primitives": prims})))
+
+
 def write(directory, name: str, data: bytes) -> str:
     path = os.path.join(str(directory), name)
     with open(path, "wb") as f:
@@ -163,3 +183,23 @@ def test_eval_any_documents(tmp_path, data):
                  "--gt-intrinsics", write(tmp_path, "kg.json", data.draw(intrinsics(gw, gh)))]
     cap = data.draw(st.one_of(st.none(), st.floats()))
     run(argv + ([] if cap is None else [f"--cap={cap!r}"]))
+
+
+@FUZZ
+@given(data=st.data())
+def test_synth_any_documents_and_settings(tmp_path, data):
+    argv = ["synth", write(tmp_path, "s.json", data.draw(scene())),
+            "--out-prefix", str(tmp_path / "out"),
+            "--constraints", str(data.draw(st.integers(0, 4))),
+            "--seed", str(data.draw(st.integers(-1, 3)))]
+    w, h = data.draw(mostly(st.tuples(st.integers(2, 6), st.integers(2, 6)), st.tuples(SIDE, SIDE)))
+    if data.draw(st.booleans()):
+        argv += ["--camera", str(data.draw(st.integers(0, 50))), "--width", str(w),
+                 "--height", str(h)]
+    else:
+        argv += ["--camera", write(tmp_path, "k.json", data.draw(intrinsics(w, h)))]
+    setting = mostly(st.floats(0.0, 2.0), st.one_of(st.just(math.nan), st.floats()))
+    for flag in ("--noise", "--center-jitter"):
+        if data.draw(st.booleans()):
+            argv.append(f"{flag}={data.draw(setting)!r}")
+    run(argv)

@@ -401,6 +401,20 @@ class TestSceneDocument:
         with pytest.raises(DocumentError, match="torus"):
             fileio.read_scene(path)
 
+    @pytest.mark.parametrize("kind", ['[1]', '{"a": 1}', '3'])
+    def test_non_string_primitive_type(self, tmp_path, kind):
+        path = str(tmp_path / "s.json")
+        open(path, "w").write('{"primitives": [{"type": %s}]}' % kind)
+        with pytest.raises(DocumentError, match="primitive 0: unknown primitive type"):
+            fileio.read_scene(path)
+
+    def test_bad_field_is_named_once(self, tmp_path):
+        path = str(tmp_path / "s.json")
+        open(path, "w").write('{"primitives": [{"type": "plane", "point": 1, "normal": [0,0,-1]}]}')
+        with pytest.raises(DocumentError) as info:
+            fileio.read_scene(path)
+        assert str(info.value) == f"{path}: primitive 0: field 'point' must be a list of 3 numbers"
+
     def test_unknown_field_in_primitive(self, tmp_path):
         path = str(tmp_path / "s.json")
         open(path, "w").write(

@@ -196,6 +196,14 @@ class TestSampleConstraints:
         with pytest.raises(SamplingFailureError):
             sample_constraints(flat, K, 4, rng_seed=0, min_depth_ratio=1.2)
 
+    @pytest.mark.parametrize("ratio", [math.nan, 0.5, -math.inf])
+    def test_ratio_below_one_or_nan_is_rejected(self, ratio):
+        """A NaN ratio fails every comparison, so unguarded it would admit
+        the equal-depth pairs of a fronto-parallel plane."""
+        flat = render_depth(SceneSpec((Plane(point=(0, 0, 2.0), normal=(0, 0, -1.0)),)), K)
+        with pytest.raises(ValueError, match="min_depth_ratio"):
+            sample_constraints(flat, K, 4, rng_seed=0, min_depth_ratio=ratio)
+
     def test_separation_comes_from_unprojection(self):
         cons = sample_constraints(self.depth, K, 3, rng_seed=4, min_depth_ratio=1.2)
         for c in cons:
@@ -265,6 +273,11 @@ class TestMakeCamera:
         a = make_camera(123, 640, 480, center_jitter=15.0)
         b = make_camera(123, 640, 480, center_jitter=15.0)
         assert a == b
+
+    @pytest.mark.parametrize("jitter", [math.nan, -1.0, math.inf])
+    def test_bad_center_jitter(self, jitter):
+        with pytest.raises(ValueError, match="center_jitter"):
+            make_camera(0, 640, 480, center_jitter=jitter)
 
     def test_bad_fov_range(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import InvalidDepthError, InvalidIntrinsicsError, ShapeMismatchError
 
+# the most pixels whose (h, w, 3) float64 ray grid numpy can address
+MAX_PIXELS = np.iinfo(np.intp).max // 24
+
 
 @dataclass(frozen=True)
 class Intrinsics:
@@ -42,6 +45,11 @@ class Intrinsics:
         if self.width < 2 or self.height < 2:
             raise InvalidIntrinsicsError(
                 f"image size must be at least 2x2, got {self.width}x{self.height}"
+            )
+        if self.width * self.height > MAX_PIXELS:
+            raise InvalidIntrinsicsError(
+                f"image size (width x height) {self.width}x{self.height} "
+                f"exceeds {MAX_PIXELS} pixels"
             )
 
     @property
@@ -124,7 +132,7 @@ class PointCloud:
         if points.ndim != 2 or points.shape[1] != 3:
             raise ShapeMismatchError(f"points must be (n, 3), got {points.shape}")
         if not np.all(np.isfinite(points)):
-            raise ValueError("point coordinates must be finite")
+            raise InvalidDepthError("point coordinates must be finite")
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
 
@@ -161,14 +169,14 @@ def fov_from_focal(f: float, extent: float) -> float:
     if not (math.isfinite(f) and f > 0.0):
         raise InvalidIntrinsicsError(f"focal length must be finite and positive, got {f}")
     if extent < 1:
-        raise ValueError(f"image extent must be at least 1 pixel, got {extent}")
+        raise InvalidIntrinsicsError(f"image extent must be at least 1 pixel, got {extent}")
     return math.degrees(2.0 * math.atan(extent / (2.0 * f)))
 
 
 def focal_from_fov(fov_deg: float, extent: float) -> float:
     """Focal length extent / (2 tan(fov/2)); fov must lie in (0, 180) degrees."""
     if not (0.0 < fov_deg < 180.0):
-        raise ValueError(f"field of view must be in (0, 180) degrees, got {fov_deg}")
+        raise InvalidIntrinsicsError(f"field of view must be in (0, 180) degrees, got {fov_deg}")
     if extent < 1:
-        raise ValueError(f"image extent must be at least 1 pixel, got {extent}")
+        raise InvalidIntrinsicsError(f"image extent must be at least 1 pixel, got {extent}")
     return extent / (2.0 * math.tan(math.radians(fov_deg) / 2.0))

@@ -1,7 +1,8 @@
 """Command-line surface tying the library together.
 
-Exit codes are part of the interface: 0 success, 1 input error,
-2 degenerate constraints, 3 solver did not converge.
+Exit codes are part of the interface: 0 success, 1 input error (a package
+error, an OSError or a usage error), 2 degenerate constraints, 3 solver did
+not converge. Any other exception is a bug and shows its traceback.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import asdict, astuple
 
 from . import fileio
 from .camera import DepthMap, Intrinsics
-from .errors import DegenerateConstraintsError, DocumentError
+from .errors import DegenerateConstraintsError, DocumentError, MetricShapeError
 from .incidence import (
     CANONICAL_FOV_DEG,
     CanonicalCamera,
@@ -128,15 +129,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     else:
         k = fileio.read_intrinsics(args.camera)
     depth = render_depth(scene, k)
-
-    fileio.write_depth_pfm(f"{args.out_prefix}_depth.pfm", depth)
-    fileio.write_intrinsics(f"{args.out_prefix}_intrinsics.json", k)
-    if args.constraints > 0:
+    constraints = None
+    if args.constraints != 0:
         constraints = sample_constraints(
             depth, k, args.constraints, rng_seed=args.seed,
             min_depth_ratio=args.min_depth_ratio,
         )
         constraints, _ = perturb(constraints, depth, noise)
+
+    fileio.write_depth_pfm(f"{args.out_prefix}_depth.pfm", depth)
+    fileio.write_intrinsics(f"{args.out_prefix}_intrinsics.json", k)
+    if constraints is not None:
         fileio.write_constraints(f"{args.out_prefix}_constraints.json", constraints)
     return EXIT_OK
 
@@ -162,8 +165,15 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error on the input-error exit code (argparse uses 2)."""
+
+    def exit(self, status: int = 0, message: str | None = None):
+        super().exit(EXIT_INPUT if status else EXIT_OK, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="metricshape",
         description="Metric 3D structure from single-view depth",
     )
@@ -234,14 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DegenerateConstraintsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (MetricShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -23,10 +23,19 @@ from typing import IO, Any
 import numpy as np
 
 from .camera import DepthMap, Intrinsics, PointCloud
-from .errors import DocumentError
+from .errors import DocumentError, MetricShapeError
 from .incidence import IncidenceField
 from .solver import DistanceConstraint
 from .synthetic import Box, Plane, SceneSpec, Sphere
+
+
+def _named(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a package error becomes a DocumentError led by ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except MetricShapeError as exc:
+        raise DocumentError(f"{where}: {exc}") from exc
+
 
 # ---------------------------------------------------------------------------
 # PFM
@@ -77,10 +86,7 @@ def _check_payload_fits(stream: IO[bytes], declared: int, what: str) -> None:
 def _read_pfm_payload(path: str) -> np.ndarray:
     """The PFM file's grid, top row first; every format error names the file."""
     with open(path, "rb") as stream:
-        try:
-            magic, width, height, scale = _read_pfm_tokens(stream)
-        except DocumentError as exc:
-            raise DocumentError(f"{path}: {exc}") from exc
+        magic, width, height, scale = _named(path, _read_pfm_tokens, stream)
         channels = 3 if magic == b"PF" else 1
         count = width * height * channels
         _check_payload_fits(stream, 4 * count, path)
@@ -113,10 +119,7 @@ def read_field_pfm(path: str) -> IncidenceField:
     data = _read_pfm_payload(path)
     if data.ndim != 3:
         raise DocumentError(f"{path}: expected a 3-channel PFM incidence field")
-    try:
-        return IncidenceField(data)
-    except ValueError as exc:
-        raise DocumentError(f"{path}: {exc}") from exc
+    return _named(path, IncidenceField, data)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +134,13 @@ def _float32_text(value: float) -> str:
 
 
 def _ply_ascii_lines(block: np.ndarray) -> str:
-    """Vertex lines of a block of rows, each value as `_float32_text` prints it.
+    """Vertex lines of a block of float32 rows, each value as `_float32_text` prints it.
 
     `astype(str)` prints the same shortest float32 digits but switches to
     exponent form outside [1e-4, 1e16); those cells are reformatted in the
     `tolist()` rows, not in the fixed-width array, which would truncate them.
     """
-    text = block.astype(np.float32).astype(str)
+    text = block.astype(str)
     rows = text.tolist()
     for i, j in zip(*np.nonzero(np.char.find(text, "e") >= 0)):
         rows[i][j] = _float32_text(block[i, j])
@@ -145,6 +148,12 @@ def _ply_ascii_lines(block: np.ndarray) -> str:
 
 
 def write_ply(path: str, cloud: PointCloud, binary: bool = False) -> None:
+    """Write the cloud as float32 vertices; a coordinate beyond float32's range
+    is an error raised before the file is opened."""
+    with np.errstate(over="ignore"):
+        points = cloud.points.astype("<f4")
+    if not np.isfinite(points).all():
+        raise DocumentError(f"{path}: point coordinates exceed the float32 range of PLY")
     fmt = "binary_little_endian" if binary else "ascii"
     header = (
         "ply\n"
@@ -158,9 +167,8 @@ def write_ply(path: str, cloud: PointCloud, binary: bool = False) -> None:
     with open(path, "wb") as stream:
         stream.write(header.encode("ascii"))
         if binary:
-            stream.write(cloud.points.astype("<f4").tobytes())
+            stream.write(points.tobytes())
         else:
-            points = cloud.points
             for start in range(0, len(points), _PLY_BLOCK_ROWS):
                 block = points[start:start + _PLY_BLOCK_ROWS]
                 stream.write(_ply_ascii_lines(block).encode("ascii"))
@@ -221,7 +229,7 @@ def read_ply(path: str) -> PointCloud:
                     raise DocumentError(f"{path}: bad vertex line {i}: {exc}") from exc
             # properties are declared float32; snap so ascii and binary agree
             points = points.astype(np.float32).astype(np.float64)
-    return PointCloud(points)
+    return _named(path, PointCloud, points)
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +273,8 @@ def read_intrinsics(path: str) -> Intrinsics:
     for name, value in (("width", width), ("height", height)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise DocumentError(f"{path}: field {name!r} must be an integer, got {value!r}")
-    try:
-        return Intrinsics(
-            fx=_number(obj, "fx", path),
-            fy=_number(obj, "fy", path),
-            cx=_number(obj, "cx", path),
-            cy=_number(obj, "cy", path),
-            width=width,
-            height=height,
-        )
-    except ValueError as exc:
-        raise DocumentError(f"{path}: {exc}") from exc
+    numbers = {name: _number(obj, name, path) for name in ("fx", "fy", "cx", "cy")}
+    return _named(path, Intrinsics, width=width, height=height, **numbers)
 
 
 def write_constraints(path: str, constraints: list[DistanceConstraint]) -> None:
@@ -327,12 +326,9 @@ def read_constraints(path: str, depth: DepthMap | None = None) -> list[DistanceC
         d1 = _record_depth(rec, "d1", u1, v1, depth, where)
         d2 = _record_depth(rec, "d2", u2, v2, depth, where)
         distance = _number(rec, "L", where)
-        try:
-            out.append(
-                DistanceConstraint(u1=u1, v1=v1, u2=u2, v2=v2, d1=d1, d2=d2, distance=distance)
-            )
-        except ValueError as exc:
-            raise DocumentError(f"{where}: {exc}") from exc
+        out.append(_named(
+            where, DistanceConstraint, u1=u1, v1=v1, u2=u2, v2=v2, d1=d1, d2=d2, distance=distance
+        ))
     return out
 
 
@@ -371,10 +367,7 @@ def read_scene(path: str) -> SceneSpec:
         cls, names = _PRIMITIVES[kind]
         _check_fields(rec, ("type",) + names, (), where)
         values = [(_number if name == "radius" else _vector3)(rec, name, where) for name in names]
-        try:
-            prims.append(cls(*values))
-        except ValueError as exc:
-            raise DocumentError(f"{where}: {exc}") from exc
+        prims.append(_named(where, cls, *values))
     return SceneSpec(primitives=tuple(prims))
 
 

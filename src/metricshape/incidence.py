@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import DepthMap, Intrinsics, PointCloud, focal_from_fov
-from .errors import DegenerateFieldError, ShapeMismatchError
+from .errors import DegenerateFieldError, InvalidIntrinsicsError, ShapeMismatchError
 
 # FoV of the canonical prior camera on the longer image side, in degrees:
 # comfortably inside the 40-120 degree range of ordinary cameras; results
@@ -41,9 +41,9 @@ class IncidenceField:
         if rays.ndim != 3 or rays.shape[2] != 3:
             raise ShapeMismatchError(f"rays must be (h, w, 3), got {rays.shape}")
         if not np.all(np.isfinite(rays)):
-            raise ValueError("ray components must be finite")
+            raise DegenerateFieldError("ray components must be finite")
         if not np.all(rays[..., 2] == 1.0):
-            raise ValueError("rays must be in z=1 form (every third component exactly 1)")
+            raise DegenerateFieldError("rays must be in z=1 form (every third component exactly 1)")
         rays.setflags(write=False)
         object.__setattr__(self, "rays", rays)
 
@@ -74,7 +74,7 @@ class CanonicalCamera:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.f_c) and self.f_c > 0.0):
-            raise ValueError(f"canonical focal length must be positive, got {self.f_c}")
+            raise InvalidIntrinsicsError(f"canonical focal length must be positive, got {self.f_c}")
 
     @classmethod
     def for_image(
@@ -109,7 +109,7 @@ def z1_from_rays(rays: np.ndarray) -> IncidenceField:
         raise ShapeMismatchError(f"rays must be (h, w, 3), got {rays.shape}")
     z = rays[..., 2]
     if not np.all(z > 0.0):
-        raise ValueError("every ray must have a positive z component")
+        raise DegenerateFieldError("every ray must have a positive z component")
     out = rays / z[..., None]
     out[..., 2] = 1.0
     return IncidenceField(out)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import DepthMap, PointCloud
-from .errors import EmptyCloudError, EmptyOverlapError, ShapeMismatchError
+from .errors import EmptyCloudError, EmptyOverlapError, InvalidSettingError, ShapeMismatchError
 from .incidence import IncidenceField, compose_residual, unproject_with_field
 
 # Up to this many points a side, one all-pairs pass serves both NN directions
@@ -46,11 +46,11 @@ class LossWeights:
         for name in ("alpha", "beta", "gamma", "lam"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+                raise InvalidSettingError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
+            raise InvalidSettingError(f"lam must lie in [0, 1], got {self.lam}")
         if self.alpha == 0.0 and self.beta == 0.0 and self.gamma == 0.0:
-            raise ValueError("at least one of alpha, beta, gamma must be positive")
+            raise InvalidSettingError("at least one of alpha, beta, gamma must be positive")
 
 
 @dataclass(frozen=True)

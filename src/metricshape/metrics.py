@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .camera import DepthMap, Intrinsics, PointCloud
-from .errors import EmptyCloudError, EmptyOverlapError, ShapeMismatchError
+from .errors import EmptyCloudError, EmptyOverlapError, InvalidSettingError, ShapeMismatchError
 from .losses import _mutual_nearest
 
 DEFAULT_F1_THRESHOLDS = (0.05, 0.1, 0.3, 0.5, 0.75)
@@ -87,9 +87,9 @@ def fov_error_stats(
     if len(pred) != len(gt):
         raise ShapeMismatchError(f"list lengths differ: {len(pred)} vs {len(gt)}")
     if len(pred) == 0:
-        raise ValueError("need at least one camera pair")
+        raise InvalidSettingError("need at least one camera pair")
     if axis not in ("x", "y", "both"):
-        raise ValueError(f"axis must be 'x', 'y' or 'both', got {axis!r}")
+        raise InvalidSettingError(f"axis must be 'x', 'y' or 'both', got {axis!r}")
     errors = []
     for kp, kg in zip(pred, gt):
         ex = abs(kp.fov_x() - kg.fov_x())
@@ -128,7 +128,7 @@ def shape_metrics(
     f1 = {}
     for tau in thresholds:
         if not tau > 0.0:
-            raise ValueError(f"tau must be positive, got {tau}")
+            raise InvalidSettingError(f"tau must be positive, got {tau}")
         precision = float((d2_pq <= tau * tau).mean())
         recall = float((d2_qp <= tau * tau).mean())
         f1[float(tau)] = (

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import DepthMap, Intrinsics
-from .errors import InvalidInitializationError
+from .errors import InvalidInitializationError, InvalidSettingError, ShapeMismatchError
 from .incidence import (
     SINGULARITY_EPS,
     CanonicalCamera,
@@ -57,11 +57,11 @@ class RefineState:
         log_depth = np.array(self.log_depth, dtype=np.float64)
         theta = np.array(self.theta, dtype=np.float64)
         if log_depth.ndim != 2:
-            raise ValueError(f"log_depth must be a 2-d grid, got {log_depth.shape}")
+            raise ShapeMismatchError(f"log_depth must be a 2-d grid, got {log_depth.shape}")
         if theta.shape != (4,):
-            raise ValueError(f"theta must have 4 entries, got {theta.shape}")
+            raise ShapeMismatchError(f"theta must have 4 entries, got {theta.shape}")
         if not (np.all(np.isfinite(log_depth)) and np.all(np.isfinite(theta))):
-            raise ValueError("state must be finite")
+            raise InvalidInitializationError("state must be finite")
         log_depth.setflags(write=False)
         theta.setflags(write=False)
         object.__setattr__(self, "log_depth", log_depth)
@@ -104,11 +104,11 @@ class RefineConfig:
 
     def __post_init__(self) -> None:
         if not (self.depth_lr > 0.0 and self.theta_lr > 0.0):
-            raise ValueError("learning rates must be positive")
+            raise InvalidSettingError("learning rates must be positive")
         if self.max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+            raise InvalidSettingError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.constraints is not None and not self.constraints:
-            raise ValueError("constraints must be None (full ground truth) or non-empty")
+            raise InvalidSettingError("constraints must be None (full ground truth) or non-empty")
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def refine_joint(
     line search fails, or when the achieved decrease drops below cfg.tol.
     """
     if init.log_depth.shape != gt_depth.values.shape:
-        raise ValueError(
+        raise ShapeMismatchError(
             f"state grid {init.log_depth.shape} does not match depth {gt_depth.values.shape}"
         )
     if cfg.constraints is None:

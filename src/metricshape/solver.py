@@ -39,7 +39,12 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .camera import Intrinsics
-from .errors import DegenerateConstraintsError, InfeasibleConstraintError
+from .errors import (
+    DegenerateConstraintsError,
+    InfeasibleConstraintError,
+    InvalidIntrinsicsError,
+    InvalidSettingError,
+)
 from .incidence import CANONICAL_FOV_DEG, CanonicalCamera
 
 # Levenberg-Marquardt schedule. Convergence is declared when the scaled
@@ -77,24 +82,33 @@ class DistanceConstraint:
         for name in ("u1", "v1", "u2", "v2"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise InfeasibleConstraintError(f"{name} must be finite, got {value}")
         if (self.u1, self.v1) == (self.u2, self.v2):
-            raise ValueError("constraint pixels must differ")
+            raise InfeasibleConstraintError("constraint pixels must differ")
         for name in ("d1", "d2", "distance"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+                raise InfeasibleConstraintError(f"{name} must be finite and positive, got {value}")
         a1, a2, a3, a5 = _pair_coefficients(
             self.u1, self.v1, self.u2, self.v2, self.d1, self.d2, self.distance
         )
-        # a5 and the products _minimal_roots forms from a1 and a3 must be finite
+        # the row weight 1/L^2 (_coefficient_matrix), and a5 and the products
+        # _minimal_roots forms from a1 and a3 once weighted, must be finite
+        squared = self.distance * self.distance
+        if not (squared > 0.0 and math.isfinite(1.0 / squared)):
+            raise InfeasibleConstraintError(
+                f"row weight 1/L^2 overflows float64: distance {self.distance} out of range"
+            )
+        weight = 1.0 / squared
         for name, fields, square, cross in (
             ("a1", "u1, u2", a1 * a1, 2.0 * a1 * a2),
             ("a3", "v1, v2", a3 * a3, 2.0 * a3 * a2),
             ("a5", "distance", a5, a5),
         ):
-            if not (math.isfinite(square) and math.isfinite(cross)):
-                raise ValueError(f"coefficient {name} overflows float64: {fields} out of range")
+            if not (math.isfinite(square * weight) and math.isfinite(cross * weight)):
+                raise InfeasibleConstraintError(
+                    f"coefficient {name} overflows float64: {fields} out of range"
+                )
         if self.distance < abs(self.d1 - self.d2):
             raise InfeasibleConstraintError(
                 f"distance {self.distance} is smaller than the depth separation "
@@ -124,7 +138,9 @@ class SolverParams:
 
     def __post_init__(self) -> None:
         if not (self.r_x > 0.0 and self.r_y > 0.0):
-            raise ValueError(f"r_x and r_y must be positive, got {self.r_x}, {self.r_y}")
+            raise InvalidIntrinsicsError(
+                f"r_x and r_y must be positive, got {self.r_x}, {self.r_y}"
+            )
 
     @classmethod
     def from_intrinsics(cls, k: Intrinsics) -> "SolverParams":
@@ -327,7 +343,9 @@ def _solve_lm(
 def _minimal_roots(constraints: list[DistanceConstraint]) -> list[SolverParams]:
     """Every real solution of exactly four constraints, from the monomial cubic."""
     if len(constraints) != 4:
-        raise ValueError(f"minimal solve needs exactly 4 constraints, got {len(constraints)}")
+        raise InvalidSettingError(
+            f"minimal solve needs exactly 4 constraints, got {len(constraints)}"
+        )
     rows, weights = _coefficient_matrix(constraints)
     a1, a2, a3, _, a5 = rows.T
     mono = np.stack([a1 * a1, 2.0 * a1 * a2, a3 * a3, 2.0 * a3 * a2, a2 * a2], 1) * weights[:, None]
@@ -386,9 +404,9 @@ def solve_overdetermined(
     derived from the median absolute residual, so no noise scale is needed.
     """
     if len(constraints) < 4:
-        raise ValueError(f"need at least 4 constraints, got {len(constraints)}")
+        raise InvalidSettingError(f"need at least 4 constraints, got {len(constraints)}")
     if loss not in ("squared", "huber"):
-        raise ValueError(f"loss must be 'squared' or 'huber', got {loss!r}")
+        raise InvalidSettingError(f"loss must be 'squared' or 'huber', got {loss!r}")
     return _solve_lm(
         list(constraints),
         init if init is not None else canonical_params(width, height),

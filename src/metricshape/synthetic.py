@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .camera import DepthMap, Intrinsics, focal_from_fov, unproject_pixel
-from .errors import DegenerateSceneError, SamplingFailureError
+from .errors import DegenerateSceneError, InvalidSettingError, SamplingFailureError
 from .incidence import _ray_axes
 from .solver import DistanceConstraint
 
@@ -28,7 +28,7 @@ class Plane:
 
     def __post_init__(self) -> None:
         if not any(c != 0.0 for c in self.normal):
-            raise ValueError("plane normal must be nonzero")
+            raise DegenerateSceneError("plane normal must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class Sphere:
 
     def __post_init__(self) -> None:
         if not self.radius > 0.0:
-            raise ValueError(f"sphere radius must be positive, got {self.radius}")
+            raise DegenerateSceneError(f"sphere radius must be positive, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class Box:
 
     def __post_init__(self) -> None:
         if not all(lo < hi for lo, hi in zip(self.min_corner, self.max_corner)):
-            raise ValueError("box min corner must be strictly below max corner per axis")
+            raise DegenerateSceneError("box min corner must be strictly below max corner per axis")
 
 
 Primitive = Plane | Sphere | Box
@@ -62,7 +62,7 @@ class SceneSpec:
 
     def __post_init__(self) -> None:
         if len(self.primitives) == 0:
-            raise ValueError("scene needs at least one primitive")
+            raise DegenerateSceneError("scene needs at least one primitive")
         object.__setattr__(self, "primitives", tuple(self.primitives))
 
 
@@ -78,7 +78,14 @@ class NoiseSpec:
         for name in ("depth_sigma_rel", "distance_sigma_rel"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+                raise InvalidSettingError(f"{name} must be finite and non-negative, got {value}")
+        _require_seed("seed", self.seed)
+
+
+def _require_seed(name: str, seed: int) -> None:
+    """numpy seeds a generator from a non-negative integer only."""
+    if seed < 0:
+        raise InvalidSettingError(f"{name} must be a non-negative integer, got {seed}")
 
 
 def _camera_inside(prim: Primitive) -> bool:
@@ -191,9 +198,10 @@ def sample_constraints(
     ``max(SAMPLING_ATTEMPTS_MIN, SAMPLING_ATTEMPTS_PER_PAIR * count)`` draws.
     """
     if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+        raise InvalidSettingError(f"count of constraints must be at least 1, got {count}")
+    _require_seed("rng_seed", rng_seed)
     if not min_depth_ratio >= 1.0:
-        raise ValueError(f"min_depth_ratio must be >= 1, got {min_depth_ratio}")
+        raise InvalidSettingError(f"min_depth_ratio must be >= 1, got {min_depth_ratio}")
     flat_valid = np.flatnonzero(depth.valid.ravel())
     if flat_valid.size < 2 * count:
         raise SamplingFailureError(
@@ -283,9 +291,12 @@ def make_camera(
     """Random camera: per-axis FoV uniform in range, jittered principal point."""
     lo, hi = fov_range
     if not (0.0 < lo <= hi < 180.0):
-        raise ValueError(f"fov_range must satisfy 0 < lo <= hi < 180, got {fov_range}")
+        raise InvalidSettingError(f"fov_range must satisfy 0 < lo <= hi < 180, got {fov_range}")
     if not (math.isfinite(center_jitter) and center_jitter >= 0.0):
-        raise ValueError(f"center_jitter must be finite and non-negative, got {center_jitter}")
+        raise InvalidSettingError(
+            f"center_jitter must be finite and non-negative, got {center_jitter}"
+        )
+    _require_seed("camera seed", rng_seed)
     rng = np.random.default_rng(rng_seed)
     fx = focal_from_fov(float(rng.uniform(lo, hi)), width)
     fy = focal_from_fov(float(rng.uniform(lo, hi)), height)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from metricshape.camera import (
+    MAX_PIXELS,
     DepthMap,
     Intrinsics,
     PointCloud,
@@ -161,6 +162,12 @@ class TestTypes:
             Intrinsics(fx=1.0, fy=1.0, cx=math.nan, cy=0.0, width=4, height=4)
         with pytest.raises(InvalidIntrinsicsError):
             Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=1, height=4)
+
+    def test_image_too_large_to_address_is_rejected(self):
+        """Sizes whose (h, w, 3) float64 ray grid numpy cannot address."""
+        with pytest.raises(InvalidIntrinsicsError, match="width x height"):
+            Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=10**19, height=24)
+        Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=MAX_PIXELS // 2, height=2)
 
     def test_off_center_principal_point_is_legal(self):
         Intrinsics(fx=10.0, fy=10.0, cx=-50.0, cy=900.0, width=4, height=4)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import metricshape
-from metricshape import fileio
+from metricshape import errors, fileio
 from metricshape.camera import DepthMap, Intrinsics
 from metricshape.cli import main
 from metricshape.metrics import depth_metrics
@@ -86,6 +86,9 @@ class TestSynth:
         ("noise", "nan", "distance_sigma_rel"), ("noise", "-0.5", "distance_sigma_rel"),
         ("noise", "inf", "distance_sigma_rel"),
         ("center-jitter", "nan", "center_jitter"), ("center-jitter", "-1", "center_jitter"),
+        # numpy's own messages named neither option, and --constraints -3 exited 0
+        ("seed", "-1", "seed"), ("camera", "-3", "camera"),
+        ("width", "10000000000000000000", "width"), ("constraints", "-3", "constraints"),
     ])
     def test_bad_setting_exits_one_before_writing(
         self, scene_file, tmp_path, capsys, flag, value, named
@@ -241,6 +244,25 @@ class TestCalibrate:
         assert "error:" in done.stderr and "record 0" in done.stderr
         assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
 
+    @pytest.mark.parametrize("pairs", [4, 6])
+    @pytest.mark.parametrize("distance", [1e-300, 1e-154])
+    def test_overflowing_row_weight_is_input_error(self, scene_file, tmp_path, pairs, distance):
+        """Equal depths admit any distance; at L = 1e-300 the row weight 1/L^2
+        overflows, at L = 1e-154 the weighted a1*a1 does. Either is exit 1
+        naming the record, not numpy's "SVD did not converge"."""
+        depth, _, cons = synth(scene_file, tmp_path, width=64, height=48)
+        records = json.loads(open(cons).read())[:pairs]
+        records[0].update(d1=2.0, d2=2.0, L=distance)
+        bad = tmp_path / "tiny.json"
+        bad.write_text(json.dumps(records))
+        done = subprocess.run(
+            [sys.executable, "-m", "metricshape", "calibrate", depth, str(bad)],
+            env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        assert f"error: {bad}: record 0: " in done.stderr
+        assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+
     def test_fewer_than_four_constraints_is_input_error(self, scene_file, tmp_path):
         depth, _, _ = synth(scene_file, tmp_path)
         few = tmp_path / "few.json"
@@ -326,6 +348,18 @@ class TestUnproject:
         assert main(["unproject", dpath, "--field", fpath, "--out", str(tmp_path / "c.ply")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fpath in err and "z=1 form" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+    def test_points_beyond_float32_are_input_error(self, tmp_path, capsys, binary):
+        """Depth 1e38 with fx = fy = 0.01 gives finite float64 points that PLY's
+        float32 cannot hold: exit 1 naming the output, which is not written."""
+        dpath, kpath, out = (str(tmp_path / n) for n in ("d.pfm", "k.json", "c.ply"))
+        fileio.write_depth_pfm(dpath, DepthMap(np.full((3, 4), 1e38), np.ones((3, 4), bool)))
+        fileio.write_intrinsics(kpath, Intrinsics(0.01, 0.01, 0.0, 0.0, 4, 3))
+        assert main(["unproject", dpath, kpath, "--out", out] + ["--binary"] * binary) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out}: ")
+        assert not os.path.exists(out)
 
     def test_needs_exactly_one_intrinsics_source(self, scene_file, tmp_path):
         depth, intr, _ = synth(scene_file, tmp_path)
@@ -465,6 +499,61 @@ class TestRefineCommand:
         assert synth.min_depth_ratio == MIN_DEPTH_RATIO
         assert synth.noise == NoiseSpec().distance_sigma_rel
         assert "center_jitter" not in synth
+
+
+class TestErrorPolicy:
+    """A package error or an OSError is an input error, DegenerateConstraintsError
+    exit 2, a usage error exit 1; anything else is a bug and escapes `main`."""
+
+    def test_every_package_error_derives_from_the_base(self):
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, BaseException)]
+        assert len(classes) == 14
+        assert all(issubclass(c, errors.MetricShapeError) for c in classes)
+
+    @pytest.fixture
+    def raising(self, monkeypatch):
+        """Make `eval` raise the given exception."""
+        import metricshape.cli as cli
+
+        def install(exc):
+            def command(args):
+                raise exc
+            monkeypatch.setattr(cli, "_cmd_eval", command)
+        return install
+
+    @pytest.mark.parametrize("exc", [ValueError("plain"), IndexError("plain"),
+                                     RuntimeError("plain"), OverflowError("plain")])
+    def test_other_exceptions_escape(self, raising, exc):
+        raising(exc)
+        with pytest.raises(type(exc), match="plain"):
+            main(["eval", "p.pfm", "g.pfm"])
+
+    @pytest.mark.parametrize("exc, code", [
+        (errors.InvalidSettingError("bad"), 1), (errors.SamplingFailureError("bad"), 1),
+        (FileNotFoundError("bad"), 1), (errors.DegenerateConstraintsError("bad"), 2),
+    ])
+    def test_package_errors_and_os_errors_map_to_exit_codes(self, raising, capsys, exc, code):
+        raising(exc)
+        assert main(["eval", "p.pfm", "g.pfm"]) == code
+        assert capsys.readouterr().err == "error: bad\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "a.pfm", "b.pfm", "--fov-axis", "z"],
+        ["refine", "a", "b", "c", "--steps", "x", "--out-prefix", "r"],
+        ["reconstruct", "a.pfm"],
+    ], ids=["bad-choice", "bad-int", "unknown-command"])
+    def test_usage_error_exits_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 1
+        assert "error: argument" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestIntrinsicsMatchDepthMap:

@@ -1,6 +1,6 @@
 """Property tests of the exit-code contract: whatever the documents and
 settings hold, `synth`, `calibrate`, `unproject` and `eval` return 0, 1, 2
-or 3 and raise nothing.
+or 3, raise nothing and warn nothing (a RuntimeWarning is an error here).
 
 Most documents are well formed, with each field sometimes replaced by an
 arbitrary JSON value, so the examples reach past the parsers into the
@@ -8,7 +8,7 @@ renderer, solvers and metrics; the rest are arbitrary JSON or bytes. Every
 size a document declares is tiny, so a check that fails to run before an
 allocation still allocates little; that includes the camera documents
 `synth` renders at. `refine` is left out: an overflowing line-search trial
-can still raise `OverflowError` there.
+can still raise `OverflowError` or `IndexError` there.
 """
 
 import json
@@ -16,10 +16,13 @@ import math
 import os
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from metricshape.cli import main
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FUZZ = settings(
     max_examples=100,

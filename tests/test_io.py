@@ -229,6 +229,21 @@ class TestPly:
         self.write_raw(path, b"ascii", 2, b"0 0 0\n1 2 3")
         np.testing.assert_array_equal(fileio.read_ply(path).points, [[0, 0, 0], [1, 2, 3]])
 
+    @pytest.mark.parametrize("fmt", [b"ascii", b"binary_little_endian"])
+    def test_non_finite_vertex_is_document_error_naming_the_file(self, tmp_path, fmt):
+        path = str(tmp_path / "inf.ply")
+        vertex = np.array([[0.0, np.inf, 1.0]], "<f4")
+        self.write_raw(path, fmt, 1, b"0 inf 1\n" if fmt == b"ascii" else vertex.tobytes())
+        with pytest.raises(DocumentError, match=re.escape(f"{path}: point coordinates must be finite")):
+            fileio.read_ply(path)
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+    def test_points_beyond_float32_are_rejected_before_opening(self, tmp_path, binary):
+        path = tmp_path / "big.ply"
+        with pytest.raises(DocumentError, match="float32"):
+            fileio.write_ply(str(path), PointCloud(np.array([[0.0, 1e39, 1.0]])), binary=binary)
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "header_line", [b"", b"element", b"element vertex abc"], ids=["empty", "bare-element", "count-abc"]
     )

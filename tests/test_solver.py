@@ -199,6 +199,20 @@ class TestConstraintValidation:
         with pytest.raises(ValueError, match=name):
             DistanceConstraint(d1=2.0, d2=3.0, **fields)
 
+    @pytest.mark.parametrize(
+        "distance, match",
+        [
+            (1e-300, "row weight"),  # L*L underflows to 0
+            (1e-160, "row weight"),  # 1/(L*L) overflows
+            (1e-154, "a1"),  # the weight is finite, a1*a1/L^2 is not
+        ],
+    )
+    def test_overflowing_row_weight_rejected(self, distance, match):
+        """Rows are scaled by 1/L^2; equal depths admit any L, so a tiny L
+        reached the solver and ended in numpy's "SVD did not converge"."""
+        with pytest.raises(InfeasibleConstraintError, match=match):
+            DistanceConstraint(u1=0.0, v1=0.0, u2=5.0, v2=0.0, d1=2.0, d2=2.0, distance=distance)
+
 
 class TestSolveMinimal:
     def test_recovers_ground_truth_from_exact_pairs(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metricshape.camera import Intrinsics, unproject_depth_map, unproject_pixel
-from metricshape.errors import DegenerateSceneError, SamplingFailureError
+from metricshape.errors import DegenerateSceneError, InvalidSettingError, SamplingFailureError
 from metricshape.solver import SolverParams, coefficients_from_constraint, constraint_residual
 from metricshape.synthetic import (
     Box,
@@ -204,12 +204,25 @@ class TestSampleConstraints:
         with pytest.raises(ValueError, match="min_depth_ratio"):
             sample_constraints(flat, K, 4, rng_seed=0, min_depth_ratio=ratio)
 
+    @pytest.mark.parametrize("count, rng_seed, match", [(-3, 0, "count"), (0, 0, "count"),
+                                                       (4, -1, "rng_seed")])
+    def test_bad_count_or_seed_is_rejected(self, count, rng_seed, match):
+        with pytest.raises(InvalidSettingError, match=match):
+            sample_constraints(self.depth, K, count, rng_seed=rng_seed)
+
     def test_separation_comes_from_unprojection(self):
         cons = sample_constraints(self.depth, K, 3, rng_seed=4, min_depth_ratio=1.2)
         for c in cons:
             p1 = unproject_pixel(K, c.u1, c.v1, c.d1)
             p2 = unproject_pixel(K, c.u2, c.v2, c.d2)
             assert c.distance == pytest.approx(math.dist(p1, p2), rel=1e-15)
+
+
+class TestNoiseSpec:
+    def test_negative_seed_is_rejected(self):
+        """numpy's own message ("expected non-negative integer") names no setting."""
+        with pytest.raises(InvalidSettingError, match="seed must be a non-negative integer"):
+            NoiseSpec(seed=-1)
 
 
 class TestPerturb:
@@ -278,6 +291,10 @@ class TestMakeCamera:
     def test_bad_center_jitter(self, jitter):
         with pytest.raises(ValueError, match="center_jitter"):
             make_camera(0, 640, 480, center_jitter=jitter)
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(InvalidSettingError, match="camera seed"):
+            make_camera(-3, 640, 480)
 
     def test_bad_fov_range(self):
         with pytest.raises(ValueError):

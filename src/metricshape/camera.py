@@ -22,6 +22,8 @@ from .errors import InvalidDepthError, InvalidIntrinsicsError, ShapeMismatchErro
 
 # the most pixels whose (h, w, 3) float64 ray grid numpy can address
 MAX_PIXELS = np.iinfo(np.intp).max // 24
+# the largest float32, the bound of every coordinate a PFM or PLY file holds
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,12 @@ class Intrinsics:
         return np.array(
             [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
         )
+
+    def ray_extent(self) -> float:
+        """The largest |x| or |y| ray component over the image (inf if it overflows)."""
+        x = max(abs(self.cx), abs(self.width - 1 - self.cx)) / self.fx
+        y = max(abs(self.cy), abs(self.height - 1 - self.cy)) / self.fy
+        return max(x, y)
 
     def fov_x(self) -> float:
         """Horizontal field of view in degrees."""

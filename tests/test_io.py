@@ -279,6 +279,15 @@ class TestIntrinsicsDocument:
         with pytest.raises(DocumentError, match="^" + re.escape(path) + ": invalid JSON"):
             fileio.read_intrinsics(path)
 
+    def test_rays_beyond_float32_name_the_file(self, tmp_path):
+        """Finite rays are rejected too once a field file could not hold them."""
+        path = str(tmp_path / "k.json")
+        fileio.write_intrinsics(path, Intrinsics(1.0, 1.0, -1e39, 1.0, 4, 3))
+        with pytest.raises(DocumentError, match="^" + re.escape(path) + ": ray components"):
+            fileio.read_intrinsics(path)
+        fileio.write_intrinsics(path, Intrinsics(1.0, 1.0, -3e38, 1.0, 4, 3))
+        assert fileio.read_intrinsics(path).cx == -3e38
+
     def test_unknown_field_rejected(self, tmp_path):
         path = str(tmp_path / "k.json")
         path2 = str(tmp_path / "k2.json")

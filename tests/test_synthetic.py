@@ -287,10 +287,17 @@ class TestMakeCamera:
         b = make_camera(123, 640, 480, center_jitter=15.0)
         assert a == b
 
-    @pytest.mark.parametrize("jitter", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("jitter", [math.nan, -1.0, math.inf, 1.7976931348623157e308])
     def test_bad_center_jitter(self, jitter):
+        """The largest double used to overflow numpy's uniform draw."""
         with pytest.raises(ValueError, match="center_jitter"):
             make_camera(0, 640, 480, center_jitter=jitter)
+
+    def test_jitter_that_puts_rays_beyond_float32_is_rejected(self):
+        """FoV 170 on width 2 gives fx = 0.087: a principal point past 3e37
+        pixels makes rays no field file can hold."""
+        with pytest.raises(InvalidSettingError, match="center_jitter .* float32"):
+            make_camera(0, 2, 2, fov_range=(170.0, 170.0), center_jitter=3.4e38)
 
     def test_negative_seed_is_rejected(self):
         with pytest.raises(InvalidSettingError, match="camera seed"):

@@ -26,6 +26,18 @@ MAX_PIXELS = np.iinfo(np.intp).max // 24
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
+def _freeze(value, **arrays: np.ndarray) -> None:
+    """Store each array, read-only and uncopied, as the field of its name on ``value``."""
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(value, name, array)
+
+
+def _require_focal(name: str, f: float) -> None:
+    if not (math.isfinite(f) and f > 0.0):
+        raise InvalidIntrinsicsError(f"{name} must be finite and positive, got {f}")
+
+
 @dataclass(frozen=True)
 class Intrinsics:
     """4-DoF pinhole parameters in pixels plus the image size."""
@@ -38,10 +50,8 @@ class Intrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.fx) and self.fx > 0.0):
-            raise InvalidIntrinsicsError(f"fx must be finite and positive, got {self.fx}")
-        if not (math.isfinite(self.fy) and self.fy > 0.0):
-            raise InvalidIntrinsicsError(f"fy must be finite and positive, got {self.fy}")
+        _require_focal("fx", self.fx)
+        _require_focal("fy", self.fy)
         if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
             raise InvalidIntrinsicsError("principal point must be finite")
         if self.width < 2 or self.height < 2:
@@ -100,10 +110,7 @@ class DepthMap:
         checked = values[valid]
         if checked.size and not (np.all(np.isfinite(checked)) and np.all(checked > 0.0)):
             raise InvalidDepthError("valid depths must be finite and positive")
-        values.setflags(write=False)
-        valid.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "valid", valid)
+        _freeze(self, values=values, valid=valid)
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "DepthMap":
@@ -141,8 +148,7 @@ class PointCloud:
             raise ShapeMismatchError(f"points must be (n, 3), got {points.shape}")
         if not np.all(np.isfinite(points)):
             raise InvalidDepthError("point coordinates must be finite")
-        points.setflags(write=False)
-        object.__setattr__(self, "points", points)
+        _freeze(self, points=points)
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -40,12 +40,19 @@ def _named(where: str, build, *args, **kwargs):
 # ---------------------------------------------------------------------------
 # PFM
 
+def _float32(data: np.ndarray) -> np.ndarray:
+    """``data`` cast to little-endian float32; a value beyond its range becomes inf, unwarned."""
+    with np.errstate(over="ignore"):
+        return data.astype("<f4")
+
+
 def _write_pfm_payload(stream: IO[bytes], data: np.ndarray, magic: bytes) -> None:
+    """Write ``data`` as a float32 PFM, rows bottom to top."""
     height, width = data.shape[:2]
     stream.write(magic + b"\n")
     stream.write(f"{width} {height}\n".encode("ascii"))
     stream.write(b"-1.0\n")
-    stream.write(np.flipud(data).astype("<f4").tobytes())
+    stream.write(np.flipud(data).astype("<f4", copy=False).tobytes())
 
 
 def _read_pfm_tokens(stream: IO[bytes]) -> tuple[bytes, int, int, float]:
@@ -98,7 +105,12 @@ def _read_pfm_payload(path: str) -> np.ndarray:
 
 
 def write_depth_pfm(path: str, depth: DepthMap) -> None:
-    data = np.where(depth.valid, depth.values, np.nan)
+    """Write the map with NaN at invalid pixels; a valid depth that is not a positive,
+    finite float32 would read back as invalid, an error raised before the file is opened."""
+    data = _float32(np.where(depth.valid, depth.values, np.nan))
+    kept = data[depth.valid]
+    if not (np.isfinite(kept).all() and (kept > 0.0).all()):
+        raise DocumentError(f"{path}: valid depths must stay positive and finite in PFM's float32")
     with open(path, "wb") as stream:
         _write_pfm_payload(stream, data, b"Pf")
 
@@ -111,8 +123,12 @@ def read_depth_pfm(path: str) -> DepthMap:
 
 
 def write_field_pfm(path: str, field: IncidenceField) -> None:
+    """Write the rays; one beyond float32's range is an error raised before the file is opened."""
+    rays = _float32(field.rays)
+    if not np.isfinite(rays).all():
+        raise DocumentError(f"{path}: ray components exceed the float32 range of PFM")
     with open(path, "wb") as stream:
-        _write_pfm_payload(stream, field.rays, b"PF")
+        _write_pfm_payload(stream, rays, b"PF")
 
 
 def read_field_pfm(path: str) -> IncidenceField:
@@ -150,8 +166,7 @@ def _ply_ascii_lines(block: np.ndarray) -> str:
 def write_ply(path: str, cloud: PointCloud, binary: bool = False) -> None:
     """Write the cloud as float32 vertices; a coordinate beyond float32's range
     is an error raised before the file is opened."""
-    with np.errstate(over="ignore"):
-        points = cloud.points.astype("<f4")
+    points = _float32(cloud.points)
     if not np.isfinite(points).all():
         raise DocumentError(f"{path}: point coordinates exceed the float32 range of PLY")
     fmt = "binary_little_endian" if binary else "ascii"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import DepthMap, Intrinsics, PointCloud, focal_from_fov
+from .camera import DepthMap, Intrinsics, PointCloud, _freeze, focal_from_fov
 from .errors import DegenerateFieldError, InvalidIntrinsicsError, ShapeMismatchError
 
 # FoV of the canonical prior camera on the longer image side, in degrees:
@@ -44,8 +44,7 @@ class IncidenceField:
             raise DegenerateFieldError("ray components must be finite")
         if not np.all(rays[..., 2] == 1.0):
             raise DegenerateFieldError("rays must be in z=1 form (every third component exactly 1)")
-        rays.setflags(write=False)
-        object.__setattr__(self, "rays", rays)
+        _freeze(self, rays=rays)
 
     @property
     def width(self) -> int:
@@ -90,6 +89,15 @@ class CanonicalCamera:
         )
 
 
+def _field(x: np.ndarray, y: np.ndarray) -> IncidenceField:
+    """The z=1 field of components x and y, broadcast."""
+    rays = np.empty(np.broadcast_shapes(x.shape, y.shape) + (3,))
+    rays[..., 0] = x
+    rays[..., 1] = y
+    rays[..., 2] = 1.0
+    return IncidenceField(rays)
+
+
 def _require_same_shape(a: IncidenceField, b: IncidenceField) -> None:
     if a.rays.shape != b.rays.shape:
         raise ShapeMismatchError(
@@ -110,9 +118,7 @@ def z1_from_rays(rays: np.ndarray) -> IncidenceField:
     z = rays[..., 2]
     if not np.all(z > 0.0):
         raise DegenerateFieldError("every ray must have a positive z component")
-    out = rays / z[..., None]
-    out[..., 2] = 1.0
-    return IncidenceField(out)
+    return _field(rays[..., 0] / z, rays[..., 1] / z)
 
 
 def _ray_axes(k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
@@ -125,11 +131,7 @@ def _ray_axes(k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
 def field_from_intrinsics(k: Intrinsics) -> IncidenceField:
     """The incidence field of a pinhole camera."""
     xs, ys = _ray_axes(k)
-    rays = np.empty((k.height, k.width, 3))
-    rays[..., 0] = xs[None, :]
-    rays[..., 1] = ys[:, None]
-    rays[..., 2] = 1.0
-    return IncidenceField(rays)
+    return _field(xs[None, :], ys[:, None])
 
 
 def canonical_field(cano: CanonicalCamera, width: int, height: int) -> IncidenceField:
@@ -140,11 +142,7 @@ def canonical_field(cano: CanonicalCamera, width: int, height: int) -> Incidence
 def compose_residual(res: IncidenceField, cano: IncidenceField) -> IncidenceField:
     """Per-pixel, per-component product on x and y; z stays 1."""
     _require_same_shape(res, cano)
-    rays = np.empty_like(cano.rays)
-    rays[..., 0] = res.x * cano.x
-    rays[..., 1] = res.y * cano.y
-    rays[..., 2] = 1.0
-    return IncidenceField(rays)
+    return _field(res.x * cano.x, res.y * cano.y)
 
 
 SINGULARITY_EPS = 1e-6
@@ -169,11 +167,9 @@ def extract_residual(
     sing_y = np.abs(cano.y) <= SINGULARITY_EPS
     safe_x = np.where(sing_x, 1.0, cano.x)
     safe_y = np.where(sing_y, 1.0, cano.y)
-    rays = np.empty_like(cano.rays)
-    rays[..., 0] = np.where(sing_x, 1.0, gt.x / safe_x)
-    rays[..., 1] = np.where(sing_y, 1.0, gt.y / safe_y)
-    rays[..., 2] = 1.0
-    return IncidenceField(rays), sing_x | sing_y
+    x = np.where(sing_x, 1.0, gt.x / safe_x)
+    y = np.where(sing_y, 1.0, gt.y / safe_y)
+    return _field(x, y), sing_x | sing_y
 
 
 def fit_intrinsics_from_field(

@@ -144,19 +144,14 @@ def _row_nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, d2[np.arange(len(d2)), idx]
 
 
-def _nearest_squared(
-    query: np.ndarray, reference: np.ndarray, method: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index of and squared distance to each query point's nearest reference.
+def _nearest_squared(query: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of and squared distance to each query point's nearest reference, by k-d tree.
 
-    ``"bruteforce"`` reads the rows of ``_squared_distance_matrix``; ties
-    resolve to the lowest reference index. The k-d tree only selects the
-    matching index; the squared distance is recomputed from the matched
-    pair with the same arithmetic, so both methods return identical values
-    away from ties.
+    The tree only selects the matching index; the squared distance is
+    recomputed from the matched pair with the arithmetic of
+    ``_squared_distance_matrix``, so away from ties both NN paths return
+    identical values.
     """
-    if method == "bruteforce":
-        return _row_nearest(_squared_distance_matrix(query, reference))
     # imported here so that commands without an NN search never load scipy
     from scipy.spatial import cKDTree
 
@@ -178,7 +173,7 @@ def _mutual_nearest(
     Above the limit, one k-d tree query per direction.
     """
     if max(len(pa), len(qa)) > BRUTE_FORCE_LIMIT:
-        return _nearest_squared(pa, qa, "kdtree") + _nearest_squared(qa, pa, "kdtree")
+        return _nearest_squared(pa, qa) + _nearest_squared(qa, pa)
     n, m = len(pa), len(qa)
     rows = max(1, _NN_BLOCK_ENTRIES // m)
     idx_pq, d2_pq = np.empty(n, dtype=np.intp), np.empty(n)

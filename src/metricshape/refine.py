@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import DepthMap, Intrinsics
+from .camera import DepthMap, Intrinsics, _freeze, _require_focal
 from .errors import InvalidInitializationError, InvalidSettingError, ShapeMismatchError
 from .incidence import (
     SINGULARITY_EPS,
@@ -62,10 +62,7 @@ class RefineState:
             raise ShapeMismatchError(f"theta must have 4 entries, got {theta.shape}")
         if not (np.all(np.isfinite(log_depth)) and np.all(np.isfinite(theta))):
             raise InvalidInitializationError("state must be finite")
-        log_depth.setflags(write=False)
-        theta.setflags(write=False)
-        object.__setattr__(self, "log_depth", log_depth)
-        object.__setattr__(self, "theta", theta)
+        _freeze(self, log_depth=log_depth, theta=theta)
 
     @classmethod
     def from_maps(cls, depth: DepthMap, k: Intrinsics) -> "RefineState":
@@ -80,9 +77,22 @@ class RefineState:
         return _depth_map(self.log_depth, valid)
 
 
+def _focal(name: str, log_f: float) -> float:
+    """exp(log f), an overflow taken as inf; an infinite or zero focal length
+    raises the error Intrinsics raises for it (NaN passes, as a NaN loss)."""
+    try:
+        f = math.exp(log_f)
+    except OverflowError:
+        f = math.inf
+    if not math.isnan(f):
+        _require_focal(name, f)
+    return f
+
+
 def _intrinsics(theta: np.ndarray, width: int, height: int) -> Intrinsics:
     return Intrinsics(
-        math.exp(theta[0]), math.exp(theta[1]), float(theta[2]), float(theta[3]), width, height
+        _focal("fx", theta[0]), _focal("fy", theta[1]), float(theta[2]), float(theta[3]),
+        width, height,
     )
 
 
@@ -162,7 +172,7 @@ def _constraints_objective(constraints: tuple[DistanceConstraint, ...]):
     rows, weights = _coefficient_matrix(list(constraints))
 
     def evaluate(log_depth: np.ndarray, theta: np.ndarray):
-        fx, fy = math.exp(theta[0]), math.exp(theta[1])
+        fx, fy = _focal("fx", theta[0]), _focal("fy", theta[1])
         r_x, r_y = 1.0 / fx, 1.0 / fy
         t_x, t_y = float(theta[2]) * r_x, float(theta[3]) * r_y
         f, jac = _residuals_and_jacobian(np.array([t_x, t_y, r_x, r_y]), rows, weights)

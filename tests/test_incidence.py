@@ -1,13 +1,15 @@
 """Incidence field construction, residual algebra, and intrinsics fitting."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conftest import RICH_SCENE
 from float_preimage import check_round_trip, has_preimage
 from metricshape.camera import DepthMap, Intrinsics, unproject_depth_map
-from metricshape.errors import DegenerateFieldError, ShapeMismatchError
+from metricshape.errors import DegenerateFieldError, InvalidDepthError, ShapeMismatchError
 from metricshape.incidence import (
     CanonicalCamera,
     IncidenceField,
@@ -19,6 +21,7 @@ from metricshape.incidence import (
     unproject_with_field,
     z1_from_rays,
 )
+from metricshape.synthetic import render_depth
 
 
 class TestFieldFromIntrinsics:
@@ -280,3 +283,74 @@ class TestZ1Normalization:
         rays[1, 2, 2] = z
         with pytest.raises(ValueError, match="z=1 form"):
             IncidenceField(rays)
+
+
+K_PACKAGE = Intrinsics(fx=14.0, fy=11.0, cx=7.25, cy=5.5, width=16, height=12)
+CANO_PACKAGE = canonical_field(CanonicalCamera.for_image(16, 12), 16, 12)
+DEPTHS_ANY = np.array([[np.nan, np.inf, -np.inf, 0.0], [-0.0, -2.0, 1e-320, 3.5],
+                       [1.0, 2.0, 1e300, np.nan]])
+PRODUCERS = {
+    "render_depth": lambda: render_depth(RICH_SCENE, K_PACKAGE),
+    "DepthMap.from_values": lambda: DepthMap.from_values(DEPTHS_ANY),
+    "field_from_intrinsics": lambda: field_from_intrinsics(K_PACKAGE),
+    "compose_residual": lambda: compose_residual(
+        extract_residual(field_from_intrinsics(K_PACKAGE), CANO_PACKAGE)[0], CANO_PACKAGE),
+    "extract_residual": lambda: extract_residual(field_from_intrinsics(K_PACKAGE), CANO_PACKAGE)[0],
+    "z1_from_rays": lambda: z1_from_rays(2.5 * field_from_intrinsics(K_PACKAGE).rays),
+    "unproject_with_field": lambda: unproject_with_field(
+        field_from_intrinsics(K_PACKAGE), render_depth(RICH_SCENE, K_PACKAGE)),
+}
+
+
+class TestPackageMadeValues:
+    """Values the package computes are values their public constructor
+    accepts unchanged, with read-only arrays."""
+
+    @pytest.mark.parametrize("produce", PRODUCERS.values(), ids=PRODUCERS.keys())
+    def test_rebuilding_through_the_public_constructor_changes_nothing(self, produce):
+        value = produce()
+        arrays = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        rebuilt = type(value)(**arrays)
+        for name, array in arrays.items():
+            again = getattr(rebuilt, name)
+            assert again.dtype == array.dtype
+            np.testing.assert_array_equal(again, array)
+
+    @pytest.mark.parametrize("produce", PRODUCERS.values(), ids=PRODUCERS.keys())
+    def test_arrays_are_read_only(self, produce):
+        value = produce()
+        for f in dataclasses.fields(value):
+            assert not getattr(value, f.name).flags.writeable
+
+    def test_from_values_marks_only_finite_positive_depths_valid(self):
+        depth = DepthMap.from_values(DEPTHS_ANY)
+        np.testing.assert_array_equal(depth.valid, [[0, 0, 0, 0], [0, 0, 1, 1], [1, 1, 1, 0]])
+        np.testing.assert_array_equal(depth.values[~depth.valid], 0.0)
+
+    def test_from_values_rejects_what_is_not_a_grid(self):
+        with pytest.raises(ShapeMismatchError, match=r"must be a 2-d grid, got \(2, 2, 2\)"):
+            DepthMap.from_values(np.ones((2, 2, 2)))
+
+
+class TestOverflowErrorsUnchanged:
+    """An overflow in a package-made value raises the class and message the
+    public constructor raised for it, after numpy's warning."""
+
+    def test_subnormal_fx_in_field_from_intrinsics(self):
+        k = Intrinsics(fx=5e-324, fy=1.0, cx=2.0, cy=1.0, width=4, height=3)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(DegenerateFieldError, match="^ray components must be finite$"):
+                field_from_intrinsics(k)
+
+    def test_overflowing_product_in_compose_residual(self):
+        big = IncidenceField(np.dstack([np.full((3, 4), 1e200)] + [np.ones((3, 4))] * 2))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(DegenerateFieldError, match="^ray components must be finite$"):
+                compose_residual(big, big)
+
+    def test_overflowing_product_in_unproject_with_field(self):
+        field = IncidenceField(np.dstack([np.full((3, 4), 1e200)] + [np.ones((3, 4))] * 2))
+        depth = DepthMap(np.full((3, 4), 1e200), np.ones((3, 4), bool))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(InvalidDepthError, match="^point coordinates must be finite$"):
+                unproject_with_field(field, depth)

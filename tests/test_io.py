@@ -61,6 +61,25 @@ class TestPfm:
         back = fileio.read_field_pfm(path)
         np.testing.assert_array_equal(back.rays, f32.rays)
 
+    @pytest.mark.parametrize("depth", [1e39, 1e-50], ids=["overflows", "underflows"])
+    def test_depth_float32_cannot_hold_is_rejected_before_opening(self, tmp_path, depth):
+        """Either would read back as an invalid pixel."""
+        path = tmp_path / "d.pfm"
+        values = np.array([[1.0, depth], [2.0, 3.0]])
+        with pytest.raises(DocumentError, match="^" + re.escape(f"{path}: valid depths")):
+            fileio.write_depth_pfm(str(path), DepthMap(values, np.ones((2, 2), bool)))
+        assert not path.exists()
+        fileio.write_depth_pfm(str(path), DepthMap(values, np.array([[1, 0], [1, 1]], bool)))
+        assert fileio.read_depth_pfm(str(path)).n_valid == 3
+
+    def test_rays_beyond_float32_are_rejected_before_opening(self, tmp_path):
+        path = tmp_path / "f.pfm"
+        rays = np.ones((2, 2, 3))
+        rays[1, 0, 1] = -1e39
+        with pytest.raises(DocumentError, match="^" + re.escape(f"{path}: ray components")):
+            fileio.write_field_pfm(str(path), IncidenceField(rays))
+        assert not path.exists()
+
     @pytest.mark.parametrize("z", [2.0, np.nan])
     def test_field_off_z1_form_is_document_error(self, tmp_path, z):
         rays = np.ones((2, 2, 3), dtype="<f4")
@@ -445,6 +464,18 @@ class TestSceneDocument:
             '{"primitives": [{"type": "sphere", "center": [0,0,5], "radius": 1, "rgb": 3}]}'
         )
         with pytest.raises(DocumentError, match="rgb"):
+            fileio.read_scene(path)
+
+    @pytest.mark.parametrize("center, radius", [
+        ("[1e300, 0, 5]", "1"), ("[0, NaN, 5]", "1"), ("[0, 0, 5]", "1e39"),
+    ])
+    def test_values_beyond_float32_name_the_primitive(self, tmp_path, center, radius):
+        path = str(tmp_path / "s.json")
+        open(path, "w").write('{"primitives": [{"type": "plane", "point": [0, 0, 9], '
+                              '"normal": [0, 0, -1]}, {"type": "sphere", "center": %s, '
+                              '"radius": %s}]}' % (center, radius))
+        with pytest.raises(DocumentError, match="^" + re.escape(f"{path}: primitive 1: sphere")
+                           + ".*float32"):
             fileio.read_scene(path)
 
     def test_invalid_primitive_values(self, tmp_path):

@@ -172,8 +172,8 @@ class TestChamfer:
             p = PointCloud(rng.uniform(-2, 2, (n, 3)))
             q = PointCloud(rng.uniform(-2, 2, (m, 3)))
             for query, reference in ((p.points, q.points), (q.points, p.points)):
-                brute_idx, brute_d2 = _nearest_squared(query, reference, "bruteforce")
-                tree_idx, tree_d2 = _nearest_squared(query, reference, "kdtree")
+                brute_idx, brute_d2 = _row_nearest(_squared_distance_matrix(query, reference))
+                tree_idx, tree_d2 = _nearest_squared(query, reference)
                 np.testing.assert_array_equal(tree_idx, brute_idx)
                 np.testing.assert_array_equal(tree_d2, brute_d2)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from metricshape.camera import DepthMap, Intrinsics, focal_from_fov
-from metricshape.errors import InvalidInitializationError
+from metricshape.errors import InvalidInitializationError, InvalidIntrinsicsError
 from metricshape.incidence import CanonicalCamera, field_from_intrinsics
 from metricshape.losses import LossWeights
 from metricshape.metrics import depth_metrics, fov_error_stats, shape_metrics
@@ -150,6 +150,17 @@ class TestConstraintsObjective:
             tm[j] -= h
             fd = (evaluate(DEPTH_GT.values, tp)[0] - evaluate(DEPTH_GT.values, tm)[0]) / (2 * h)
             assert grad[j] == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("j, name", [(0, "fx"), (1, "fy")])
+    @pytest.mark.parametrize("log_f, got", [(800.0, "inf"), (-800.0, "0.0")])
+    def test_focal_beyond_float_range_is_invalid_intrinsics(self, j, name, log_f, got):
+        """math.exp raised OverflowError for the one and 1/f ZeroDivisionError
+        for the other: a trial step can reach such a theta."""
+        theta = self.THETA.copy()
+        theta[j] = log_f
+        message = f"^{name} must be finite and positive, got {got}$"
+        with pytest.raises(InvalidIntrinsicsError, match=message):
+            _constraints_objective(self.CONS)(DEPTH_GT.values, theta)
 
 
 class TestRefineReport:

@@ -64,6 +64,23 @@ class TestRenderDepth:
         assert depth.values[24, 32] == pytest.approx(2.5, abs=1e-12)
         assert depth.values[0, 0] == pytest.approx(5.0, abs=1e-12)
 
+    @pytest.mark.parametrize("make", [
+        lambda v: Plane(point=(0, 0, v), normal=(0, 0, -1.0)),
+        lambda v: Plane(point=(0, 0, 2.0), normal=(0, v, -1.0)),
+        lambda v: Sphere(center=(v, 0, 5.0), radius=1.0),
+        lambda v: Sphere(center=(0, 0, 5.0), radius=abs(v)),
+        lambda v: Box(min_corner=(-1, -1, 2.0), max_corner=(1, 1, v)),
+        lambda v: Box(min_corner=(-v, -1, 2.0), max_corner=(1, 1, 3.0)),
+    ], ids=["plane-point", "plane-normal", "sphere-center", "sphere-radius", "box-max",
+            "box-min"])
+    @pytest.mark.parametrize("value", [1e150, 3.5e38, math.inf, math.nan])
+    def test_values_beyond_float32_are_rejected(self, make, value):
+        """Past float32's range numpy's products in the renderer overflowed,
+        and depths could leave the range of the PFM a render is written to."""
+        with pytest.raises(DegenerateSceneError, match="float32"):
+            make(value)
+        make(3.4e38)
+
     def test_camera_inside_primitive(self):
         with pytest.raises(DegenerateSceneError):
             render_depth(SceneSpec((Sphere(center=(0, 0, 0.1), radius=1.0),)), K)

@@ -1,8 +1,9 @@
 """Command-line surface tying the library together.
 
 Exit codes are part of the interface: 0 success, 1 input error (a package
-error, an OSError or a usage error), 2 degenerate constraints, 3 solver did
-not converge. Any other exception is a bug and shows its traceback.
+error, an OSError, a MemoryError or a usage error), 2 degenerate
+constraints, 3 solver did not converge. Any other exception is a bug and
+shows its traceback.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from dataclasses import asdict, astuple
 
 from . import fileio
 from .camera import DepthMap, Intrinsics
-from .errors import DegenerateConstraintsError, DocumentError, MetricShapeError
+from .errors import (
+    DegenerateConstraintsError, DocumentError, InfeasibleConstraintError, MetricShapeError,
+)
 from .incidence import (
     CANONICAL_FOV_DEG,
     CanonicalCamera,
@@ -57,16 +60,19 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if len(constraints) < 4:
         raise DocumentError(f"{args.constraints}: need at least 4 constraints, got {len(constraints)}")
     init = canonical_params(depth.width, depth.height, fov_deg=args.init_fov)
-    if len(constraints) == 4 and not args.robust:
-        report = solve_minimal(constraints, depth.width, depth.height, init=init)
-    else:
-        report = solve_overdetermined(
-            constraints,
-            depth.width,
-            depth.height,
-            init=init,
-            loss="huber" if args.robust else "squared",
-        )
+    try:
+        if len(constraints) == 4 and not args.robust:
+            report = solve_minimal(constraints, depth.width, depth.height, init=init)
+        else:
+            report = solve_overdetermined(
+                constraints,
+                depth.width,
+                depth.height,
+                init=init,
+                loss="huber" if args.robust else "squared",
+            )
+    except InfeasibleConstraintError as exc:
+        raise InfeasibleConstraintError(f"{args.constraints}: {exc}") from exc
     if args.out:
         fileio.write_intrinsics(args.out, report.intrinsics)
     doc = {
@@ -252,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DEGENERATE
     except (MetricShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

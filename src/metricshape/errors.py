@@ -1,7 +1,7 @@
 """Every error the package raises on purpose is a MetricShapeError, a ValueError,
 so callers can catch one thing. The CLI maps DegenerateConstraintsError to exit 2,
-any other MetricShapeError, an OSError or a usage error to exit 1, and lets any
-other exception, which is a bug, propagate with its traceback.
+any other MetricShapeError, an OSError, a MemoryError or a usage error to exit 1,
+and lets any other exception, which is a bug, propagate with its traceback.
 """
 
 

@@ -33,6 +33,7 @@ Jacobian sets ``condition_warning`` on the report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import astuple, dataclass
 
@@ -92,20 +93,19 @@ class DistanceConstraint:
         a1, a2, a3, a5 = _pair_coefficients(
             self.u1, self.v1, self.u2, self.v2, self.d1, self.d2, self.distance
         )
-        # the row weight 1/L^2 (_coefficient_matrix), and a5 and the products
-        # _minimal_roots forms from a1 and a3 once weighted, must be finite
         squared = self.distance * self.distance
         if not (squared > 0.0 and math.isfinite(1.0 / squared)):
             raise InfeasibleConstraintError(
                 f"row weight 1/L^2 overflows float64: distance {self.distance} out of range"
             )
         weight = 1.0 / squared
-        for name, fields, square, cross in (
-            ("a1", "u1, u2", a1 * a1, 2.0 * a1 * a2),
-            ("a3", "v1, v2", a3 * a3, 2.0 * a3 * a2),
-            ("a5", "distance", a5, a5),
+        mono = _monomials(a1, a2, a3, weight)
+        for name, fields, products in (
+            ("a1", "u1, u2", mono[:2]),
+            ("a3", "v1, v2", mono[2:4]),
+            ("a5", "distance", (a5 * weight,)),
         ):
-            if not (math.isfinite(square * weight) and math.isfinite(cross * weight)):
+            if not all(map(math.isfinite, products)):
                 raise InfeasibleConstraintError(
                     f"coefficient {name} overflows float64: {fields} out of range"
                 )
@@ -190,6 +190,12 @@ def _pair_coefficients(u1, v1, u2, v2, d1, d2, distance):
     return d1 * u1 - d2 * u2, a2, d1 * v1 - d2 * v2, a2 * a2 - distance * distance
 
 
+def _monomials(a1, a2, a3, weight):
+    """Weighted coefficients of the monomials m in one pair's equation, or in arrays of pairs."""
+    return (a1 * a1 * weight, 2.0 * a1 * a2 * weight, a3 * a3 * weight,
+            2.0 * a3 * a2 * weight, a2 * a2 * weight)
+
+
 def coefficients_from_constraint(c: DistanceConstraint) -> ConstraintCoefficients:
     """Constants a1..a5 of the constraint's re-parameterized equation."""
     a1, a2, a3, a5 = _pair_coefficients(c.u1, c.v1, c.u2, c.v2, c.d1, c.d2, c.distance)
@@ -246,8 +252,7 @@ def _huber_weights(f: np.ndarray) -> np.ndarray:
     delta = 1.345 * float(np.median(absf)) / 0.6745
     w = np.ones_like(f)
     big = absf > delta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w[big] = delta / absf[big]
+    w[big] = delta / absf[big]
     return w
 
 
@@ -260,27 +265,33 @@ def _rank_and_condition(jac: np.ndarray) -> tuple[int, bool]:
     return rank, bool(sv[-1] < CONDITION_RATIO * sv[0])
 
 
-def _solve_lm(
-    constraints: list[DistanceConstraint],
-    init: SolverParams,
-    width: int,
-    height: int,
-    robust: bool,
-) -> SolveReport:
-    rows, weights = _coefficient_matrix(constraints)
-    theta = init.as_array()
+def _within_float64(solve):
+    """``solve`` with numpy's floating-point events raised: a constraint system
+    that leaves float64 is an InfeasibleConstraintError."""
+
+    @functools.wraps(solve)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return solve(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise InfeasibleConstraintError(f"the solve leaves float64's range ({exc})") from None
+
+    return checked
+
+
+def _solve_lm(rows: np.ndarray, weights: np.ndarray, theta: np.ndarray, width: int, height: int,
+              robust: bool) -> SolveReport:
+    """Levenberg-Marquardt from ``theta``; plain least squares is Huber with unit weights."""
     mu = DAMPING_INIT
     iterations = 0
     stop_reason = "max_iter"
 
     f, jac = _residuals_and_jacobian(theta, rows, weights)
     for it in range(MAX_ITER):
-        if robust:
-            rw = _huber_weights(f)
-            sqrt_w = np.sqrt(rw)
-            fw, jw = f * sqrt_w, jac * sqrt_w[:, None]
-        else:
-            fw, jw = f, jac
+        rw = _huber_weights(f) if robust else np.ones_like(f)
+        sqrt_w = np.sqrt(rw)
+        fw, jw = f * sqrt_w, jac * sqrt_w[:, None]
         if float(np.linalg.norm(fw)) < TOL_ABS:
             stop_reason = "tol_abs"
             break
@@ -304,10 +315,7 @@ def _solve_lm(
         accepted = False
         if candidate[2] > 0.0 and candidate[3] > 0.0:
             f_new, jac_new = _residuals_and_jacobian(candidate, rows, weights)
-            if robust:
-                new_cost = float((f_new * rw) @ f_new)
-            else:
-                new_cost = float(f_new @ f_new)
+            new_cost = float((f_new * rw) @ f_new)
             if math.isfinite(new_cost) and new_cost < cost:
                 accepted = True
         if accepted:
@@ -329,9 +337,8 @@ def _solve_lm(
             "constraint set leaves some intrinsic parameters unobservable "
             f"(Jacobian rank {rank} < 4; e.g. all pairs share equal depths)"
         )
-    params = SolverParams(*theta)
     return SolveReport(
-        intrinsics=params.to_intrinsics(width, height),
+        intrinsics=SolverParams(*theta).to_intrinsics(width, height),
         final_residual_norm=float(np.linalg.norm(f)),
         iterations=iterations,
         converged=stop_reason in ("tol_abs", "tol_step", "tol_grad"),
@@ -340,15 +347,13 @@ def _solve_lm(
     )
 
 
-def _minimal_roots(constraints: list[DistanceConstraint]) -> list[SolverParams]:
-    """Every real solution of exactly four constraints, from the monomial cubic."""
-    if len(constraints) != 4:
-        raise InvalidSettingError(
-            f"minimal solve needs exactly 4 constraints, got {len(constraints)}"
-        )
-    rows, weights = _coefficient_matrix(constraints)
+def _minimal_roots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Every real solution (t_x, t_y, r_x, r_y) of exactly four weighted rows,
+    one per row of the result, from the monomial cubic."""
+    if len(rows) != 4:
+        raise InvalidSettingError(f"minimal solve needs exactly 4 constraints, got {len(rows)}")
     a1, a2, a3, _, a5 = rows.T
-    mono = np.stack([a1 * a1, 2.0 * a1 * a2, a3 * a3, 2.0 * a3 * a2, a2 * a2], 1) * weights[:, None]
+    mono = np.stack(_monomials(a1, a2, a3, weights), 1)
     scale = np.linalg.norm(mono, axis=0)
     scale[scale == 0.0] = 1.0
     mono /= scale
@@ -363,15 +368,14 @@ def _minimal_roots(constraints: list[DistanceConstraint]) -> list[SolverParams]:
     m1, m2, m3, m4, m5 = (np.array([nj, mj]) for nj, mj in zip(n, m0))
     mul = np.convolve
     cubic = mul(mul(m5, m1), m3) - (mul(mul(m2, m2), m3) + mul(mul(m4, m4), m1))
-    roots = []
-    for lam in np.roots(cubic):
-        m = m0 + lam.real * n
-        if lam.imag == 0.0 and m[0] > 0.0 and m[2] > 0.0:
-            r_x, r_y = math.sqrt(m[0]), math.sqrt(m[2])
-            roots.append(SolverParams(t_x=m[1] / r_x, t_y=m[3] / r_y, r_x=r_x, r_y=r_y))
-    return roots
+    lam = np.roots(cubic)
+    m = m0 + lam.real[:, None] * n
+    m = m[(lam.imag == 0.0) & (m[:, 0] > 0.0) & (m[:, 2] > 0.0)]
+    r_x, r_y = np.sqrt(m[:, 0]), np.sqrt(m[:, 2])
+    return np.stack([m[:, 1] / r_x, m[:, 3] / r_y, r_x, r_y], 1)
 
 
+@_within_float64
 def solve_minimal(
     constraints: list[DistanceConstraint],
     width: int,
@@ -386,11 +390,13 @@ def solve_minimal(
     """
     init = init if init is not None else canonical_params(width, height)
     theta0, unit = init.as_array(), np.array([1.0, 1.0, init.r_x, init.r_y])
-    roots = _minimal_roots(constraints)
-    start = min(roots, key=lambda p: np.linalg.norm((p.as_array() - theta0) / unit), default=init)
-    return _solve_lm(list(constraints), start, width, height, robust=False)
+    rows, weights = _coefficient_matrix(constraints)
+    roots = _minimal_roots(rows, weights)
+    start = min(roots, key=lambda theta: np.linalg.norm((theta - theta0) / unit), default=theta0)
+    return _solve_lm(rows, weights, start, width, height, robust=False)
 
 
+@_within_float64
 def solve_overdetermined(
     constraints: list[DistanceConstraint],
     width: int,
@@ -407,15 +413,12 @@ def solve_overdetermined(
         raise InvalidSettingError(f"need at least 4 constraints, got {len(constraints)}")
     if loss not in ("squared", "huber"):
         raise InvalidSettingError(f"loss must be 'squared' or 'huber', got {loss!r}")
-    return _solve_lm(
-        list(constraints),
-        init if init is not None else canonical_params(width, height),
-        width,
-        height,
-        robust=(loss == "huber"),
-    )
+    init = init if init is not None else canonical_params(width, height)
+    rows, weights = _coefficient_matrix(constraints)
+    return _solve_lm(rows, weights, init.as_array(), width, height, robust=(loss == "huber"))
 
 
+@_within_float64
 def enumerate_solutions(
     constraints: list[DistanceConstraint],
     width: int,
@@ -430,10 +433,10 @@ def enumerate_solutions(
     """
     rows, weights = _coefficient_matrix(constraints)
     found = []
-    for root in _minimal_roots(constraints):
-        f, jac = _residuals_and_jacobian(root.as_array(), rows, weights)
+    for theta in _minimal_roots(rows, weights):
+        f, jac = _residuals_and_jacobian(theta, rows, weights)
         norm = float(np.linalg.norm(f))
         if norm < ROOT_RESIDUAL_TOL:
-            ill = _rank_and_condition(jac)[1]
-            found.append(SolveReport(root.to_intrinsics(width, height), norm, 0, True, ill, "root"))
+            k = SolverParams(*theta).to_intrinsics(width, height)
+            found.append(SolveReport(k, norm, 0, True, _rank_and_condition(jac)[1], "root"))
     return found

@@ -111,6 +111,17 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.glob("bad_*"))
 
+    def test_size_too_large_for_memory_exits_one(self, scene_file, tmp_path, capsys):
+        """Below camera.MAX_PIXELS, but the first allocation fails: numpy's
+        MemoryError ended in a traceback."""
+        code = main(["synth", scene_file, "--camera", "1", "--width", "2",
+                     "--height", str(10**17), "--constraints", "0",
+                     "--out-prefix", str(tmp_path / "big")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("big_*"))
+
     def test_nan_depth_ratio_exits_one(self, scene_file, tmp_path):
         code = main(["synth", scene_file, "--camera", "7", "--width", "32", "--height", "24",
                      "--min-depth-ratio", "nan", "--out-prefix", str(tmp_path / "x")])
@@ -150,7 +161,10 @@ class TestCalibrate:
         assert report["final_residual_norm"] > 1e-6
         assert report["stop_reason"] == "tol_grad"
 
-    def test_equal_depth_constraints_exit_degenerate(self, tmp_path):
+    @pytest.mark.parametrize("robust", [False, True], ids=["squared", "huber"])
+    @pytest.mark.parametrize("pairs", [4, 6])
+    def test_equal_depth_constraints_exit_degenerate(self, tmp_path, pairs, robust):
+        """Four pairs without --robust take the monomial path, the rest LM."""
         k = Intrinsics(fx=100.0, fy=100.0, cx=32.0, cy=24.0, width=64, height=48)
         depth = render_depth(SceneSpec((Plane(point=(0, 0, 2.0), normal=(0, 0, -1.0)),)), k)
         dpath = tmp_path / "flat.pfm"
@@ -158,9 +172,8 @@ class TestCalibrate:
         records = []
         rng = np.random.default_rng(0)
         from metricshape.camera import unproject_pixel
-        import math
 
-        for _ in range(4):
+        for _ in range(pairs):
             u1, v1, u2, v2 = (int(x) for x in rng.integers(0, 48, 4))
             if (u1, v1) == (u2, v2):
                 u2 += 1
@@ -169,7 +182,32 @@ class TestCalibrate:
             records.append({"u1": u1, "v1": v1, "u2": u2, "v2": v2, "L": math.dist(p1, p2)})
         cpath = tmp_path / "flat.json"
         cpath.write_text(json.dumps(records))
-        assert main(["calibrate", str(dpath), str(cpath)]) == 2
+        assert main(["calibrate", str(dpath), str(cpath)] + ["--robust"] * robust) == 2
+
+    @pytest.mark.parametrize("pairs, edit, robust", [
+        (4, "huge-distances", False), (6, "tiny-equal-depth-pair", False),
+        (6, "tiny-equal-depth-pair", True),
+    ], ids=["huge-distances-4", "tiny-equal-depth-pair-6", "tiny-equal-depth-pair-6-robust"])
+    def test_solve_leaving_float64_exits_one_naming_the_file(
+        self, scene_file, tmp_path, capsys, pairs, edit, robust
+    ):
+        """Sound records whose solve leaves float64: every L at 1e150 warned
+        in the cubic, then ended in a LinAlgError traceback; one pair with
+        d1 = d2 and L = 1e-100 warned of overflow, then exited 2 as if every
+        pair had equal depths."""
+        depth, _, cons = synth(scene_file, tmp_path, camera=3, width=64, height=48, seed=0)
+        records = json.loads(open(cons).read())[:pairs]
+        if edit == "huge-distances":
+            for record in records:
+                record["L"] = 1e150
+        else:
+            records[0].update(d2=records[0]["d1"], L=1e-100)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(records))
+        assert main(["calibrate", depth, str(bad)] + ["--robust"] * robust) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "float64" in err
+        assert err.count("\n") == 1
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["calibrate", str(tmp_path / "no.pfm"), str(tmp_path / "no.json")]) == 1

@@ -101,8 +101,11 @@ def intrinsics(draw, w: int, h: int) -> bytes:
 
 @st.composite
 def constraints(draw, w: int, h: int) -> bytes:
-    """Pairs whose separations one camera explains exactly, before corruption."""
+    """Pairs whose separations one camera explains exactly, before corruption;
+    now and then every separation is scaled by 10^55 to 10^150, so the solve
+    leaves float64 though each record is sound."""
     fx, fy = draw(st.floats(1.0, 20.0)), draw(st.floats(1.0, 20.0))
+    scale = 10.0 ** draw(mostly(st.just(0), st.integers(55, 150)))
     cx, cy = draw(st.floats(0.0, w)), draw(st.floats(0.0, h))
     pixel = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
     depth = st.floats(0.5, 8.0)
@@ -113,7 +116,7 @@ def constraints(draw, w: int, h: int) -> bytes:
         p1 = ((u1 - cx) / fx * d1, (v1 - cy) / fy * d1, d1)
         p2 = ((u2 - cx) / fx * d2, (v2 - cy) / fy * d2, d2)
         pair = {"u1": u1, "v1": v1, "u2": u2, "v2": v2, "d1": d1, "d2": d2,
-                "L": math.dist(p1, p2)}
+                "L": math.dist(p1, p2) * scale}
         records.append(draw(lax(pair)))
     return draw(document(st.just(records)))
 

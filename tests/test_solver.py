@@ -26,7 +26,7 @@ from metricshape.solver import (
     solve_minimal,
     solve_overdetermined,
 )
-from metricshape.synthetic import make_camera, render_depth, sample_constraints
+from metricshape.synthetic import Plane, SceneSpec, make_camera, render_depth, sample_constraints
 
 GT = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -353,6 +353,71 @@ class TestSolveOverdetermined:
         cons = random_exact_constraints(GT, 4, seed=2)
         with pytest.raises(ValueError):
             solve_overdetermined(cons, 640, 480, loss="cauchy")
+
+
+class TestLevenbergMarquardtPaths:
+    """The LM branches that sound constraint sets never reach."""
+
+    @staticmethod
+    def equal_depth_pairs(n):
+        """n pairs on the plane z = 2, so every pair has d1 == d2."""
+        k = Intrinsics(fx=100.0, fy=100.0, cx=32.0, cy=24.0, width=64, height=48)
+        depth = render_depth(SceneSpec((Plane(point=(0, 0, 2.0), normal=(0, 0, -1.0)),)), k)
+        return sample_constraints(depth, k, n, rng_seed=0, min_depth_ratio=1.0)
+
+    @pytest.mark.parametrize("loss", ["squared", "huber"])
+    @pytest.mark.parametrize("n", [5, 6, 12])
+    def test_equal_depths_fall_back_to_lstsq_then_are_degenerate(self, monkeypatch, n, loss):
+        """The damped normal matrix is singular in the principal-point
+        columns, so each step comes from lstsq; the final Jacobian has rank 2."""
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        with pytest.raises(DegenerateConstraintsError, match="Jacobian rank 2 < 4"):
+            solve_overdetermined(self.equal_depth_pairs(n), 64, 48, loss=loss)
+        assert calls
+
+    @pytest.mark.parametrize("loss", ["squared", "huber"])
+    def test_gives_up_at_damping_max(self, loss):
+        """Four pairs whose separations are all 1e150 m fit no camera near
+        the start: every step is rejected until the damping passes DAMPING_MAX."""
+        cons = [dataclasses.replace(c, distance=1e150) for c in random_exact_constraints(GT, 4, 7)]
+        report = solve_overdetermined(cons, 640, 480, loss=loss)
+        assert report.stop_reason == "damping_max"
+        assert not report.converged
+        assert report.intrinsics == canonical_params(640, 480).to_intrinsics(640, 480)
+
+
+class TestFloat64Range:
+    """A solve whose system leaves float64 raises InfeasibleConstraintError;
+    numpy warned and then raised LinAlgError, or filed it as degenerate."""
+
+    def test_huge_distances_in_the_minimal_solve(self):
+        """Every L at 1e150: the cubic's coefficients overflow."""
+        cons = [dataclasses.replace(c, distance=1e150) for c in random_exact_constraints(GT, 4, 7)]
+        for solve in (enumerate_solutions, solve_minimal):
+            with pytest.raises(InfeasibleConstraintError, match="float64"):
+                solve(cons, 640, 480)
+
+    @pytest.mark.parametrize("loss", ["squared", "huber"])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_one_equal_depth_pair_at_a_tiny_distance(self, n, loss):
+        """Its weight 1/L^2 = 1e200 is finite, but the Jacobian products
+        overflow; the Jacobian rank then read 1, as if every pair were equal-depth."""
+        cons = random_exact_constraints(GT, n, 7)
+        cons[0] = dataclasses.replace(cons[0], d2=cons[0].d1, distance=1e-100)
+        solves = [lambda: solve_overdetermined(cons, 640, 480, loss=loss)]
+        if n == 4:
+            solves += [lambda: solve_minimal(cons, 640, 480),
+                       lambda: enumerate_solutions(cons, 640, 480)]
+        for solve in solves:
+            with pytest.raises(InfeasibleConstraintError, match="float64"):
+                solve()
 
 
 class TestEnumerateSolutions:

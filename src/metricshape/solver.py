@@ -137,10 +137,14 @@ class SolverParams:
     r_y: float
 
     def __post_init__(self) -> None:
-        if not (self.r_x > 0.0 and self.r_y > 0.0):
-            raise InvalidIntrinsicsError(
-                f"r_x and r_y must be positive, got {self.r_x}, {self.r_y}"
-            )
+        for name in ("t_x", "t_y", "r_x", "r_y"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidIntrinsicsError(f"{name} must be finite, got {value}")
+        for name in ("r_x", "r_y"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise InvalidIntrinsicsError(f"{name} must be positive, got {value}")
 
     @classmethod
     def from_intrinsics(cls, k: Intrinsics) -> "SolverParams":
@@ -222,45 +226,62 @@ def _coefficient_matrix(constraints: list[DistanceConstraint]) -> tuple[np.ndarr
     return np.stack([a1, a2, a3, a2, a5], 1), 1.0 / (dist * dist)
 
 
-def _residuals_and_jacobian(
+def _residuals(
     theta: np.ndarray, rows: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted constraint values f (N,) and their Jacobian (N, 4).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted constraint values f (N,) and the per-pair sums sx, sy they square.
 
-    ``theta`` is (t_x, t_y, r_x, r_y) and ``rows`` holds a1..a5 per pair;
-    the Jacobian columns follow theta's order.
+    ``theta`` is (t_x, t_y, r_x, r_y) and ``rows`` holds a1..a5 per pair.
     """
     t_x, t_y, r_x, r_y = theta
     sx = rows[:, 0] * r_x + rows[:, 1] * t_x
     sy = rows[:, 2] * r_y + rows[:, 3] * t_y
-    f = (sx * sx + sy * sy + rows[:, 4]) * weights
-    jac = np.stack(
-        [
-            2.0 * sx * rows[:, 1],
-            2.0 * sy * rows[:, 3],
-            2.0 * sx * rows[:, 0],
-            2.0 * sy * rows[:, 2],
-        ],
-        axis=1,
-    ) * weights[:, None]
-    return f, jac
+    return (sx * sx + sy * sy + rows[:, 4]) * weights, sx, sy
+
+
+def _jacobian(rows: np.ndarray, weights: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """Jacobian (N, 4) of ``_residuals``' f from its sx, sy; columns follow theta's order."""
+    two_sx, two_sy = 2.0 * sx, 2.0 * sy
+    jac = np.empty((len(rows), 4))
+    jac[:, 0] = two_sx * rows[:, 1]
+    jac[:, 1] = two_sy * rows[:, 3]
+    jac[:, 2] = two_sx * rows[:, 0]
+    jac[:, 3] = two_sy * rows[:, 2]
+    jac *= weights[:, None]
+    return jac
+
+
+def _residuals_and_jacobian(
+    theta: np.ndarray, rows: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted constraint values f (N,) and their Jacobian (N, 4)."""
+    f, sx, sy = _residuals(theta, rows, weights)
+    return f, _jacobian(rows, weights, sx, sy)
 
 
 def _huber_weights(f: np.ndarray) -> np.ndarray:
-    """IRLS weights for the Huber loss, threshold from the median absolute residual."""
+    """IRLS weights for the Huber loss, threshold from the median absolute residual.
+
+    The median is ``np.median``'s value: the middle element, or the mean of
+    the two middle elements for even N. f holds no NaN (the solves raise on
+    invalid operations first), so its NaN check is not needed.
+    """
     absf = np.abs(f)
-    delta = 1.345 * float(np.median(absf)) / 0.6745
+    half = len(f) // 2
+    part = np.partition(absf, (half - 1, half))
+    median = part[half] if len(f) % 2 else (part[half - 1] + part[half]) / 2.0
+    delta = 1.345 * float(median) / 0.6745
     w = np.ones_like(f)
     big = absf > delta
     w[big] = delta / absf[big]
     return w
 
 
-def _rank_and_condition(jac: np.ndarray) -> tuple[int, bool]:
-    sv = np.linalg.svd(jac, compute_uv=False)
+def _rank_and_condition(sv: np.ndarray, shape: tuple[int, int]) -> tuple[int, bool]:
+    """Rank and ill-conditioning of a matrix of ``shape`` from its singular values ``sv``."""
     if sv[0] == 0.0:
         return 0, True
-    tol = sv[0] * max(jac.shape) * np.finfo(np.float64).eps
+    tol = sv[0] * max(shape) * np.finfo(np.float64).eps
     rank = int((sv > tol).sum())
     return rank, bool(sv[-1] < CONDITION_RATIO * sv[0])
 
@@ -287,42 +308,43 @@ def _solve_lm(rows: np.ndarray, weights: np.ndarray, theta: np.ndarray, width: i
     iterations = 0
     stop_reason = "max_iter"
 
-    f, jac = _residuals_and_jacobian(theta, rows, weights)
+    f, sx, sy = _residuals(theta, rows, weights)
+    jac = _jacobian(rows, weights, sx, sy)
     for it in range(MAX_ITER):
         rw = _huber_weights(f) if robust else np.ones_like(f)
         sqrt_w = np.sqrt(rw)
         fw, jw = f * sqrt_w, jac * sqrt_w[:, None]
-        if float(np.linalg.norm(fw)) < TOL_ABS:
+        cost = float(fw @ fw)
+        norm = math.sqrt(cost)
+        if norm < TOL_ABS:
             stop_reason = "tol_abs"
             break
         grad = jw.T @ fw
-        if np.all(
-            np.abs(grad) <= TOL_GRAD * np.linalg.norm(jw, axis=0) * np.linalg.norm(fw)
-        ):
+        if np.all(np.abs(grad) <= TOL_GRAD * np.linalg.norm(jw, axis=0) * norm):
             stop_reason = "tol_grad"
             break
         iterations = it + 1
 
         jtj = jw.T @ jw
-        scale = np.diag(np.diag(jtj))
+        damped = jtj.copy()
+        damped.flat[::5] += mu * jtj.flat[::5]  # Marquardt: mu times J^T J's own (4x4) diagonal
         try:
-            step = np.linalg.solve(jtj + mu * scale, -grad)
+            step = np.linalg.solve(damped, -grad)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jtj + mu * scale, -grad, rcond=None)[0]
+            step = np.linalg.lstsq(damped, -grad, rcond=None)[0]
 
+        # a trial forms residuals only; J is formed at accepted points
         candidate = theta + step
-        cost = float(fw @ fw)
         accepted = False
         if candidate[2] > 0.0 and candidate[3] > 0.0:
-            f_new, jac_new = _residuals_and_jacobian(candidate, rows, weights)
+            f_new, sx, sy = _residuals(candidate, rows, weights)
             new_cost = float((f_new * rw) @ f_new)
-            if math.isfinite(new_cost) and new_cost < cost:
-                accepted = True
+            accepted = math.isfinite(new_cost) and new_cost < cost
         if accepted:
-            theta = candidate
-            f, jac = f_new, jac_new
+            theta, f = candidate, f_new
+            jac = _jacobian(rows, weights, sx, sy)
             mu /= DAMPING_FACTOR
-            if float(np.linalg.norm(step)) < TOL_STEP:
+            if math.sqrt(step @ step) < TOL_STEP:
                 stop_reason = "tol_step"
                 break
         else:
@@ -331,7 +353,7 @@ def _solve_lm(rows: np.ndarray, weights: np.ndarray, theta: np.ndarray, width: i
                 stop_reason = "damping_max"
                 break
 
-    rank, condition_warning = _rank_and_condition(jac)
+    rank, condition_warning = _rank_and_condition(np.linalg.svd(jac, compute_uv=False), jac.shape)
     if rank < 4:
         raise DegenerateConstraintsError(
             "constraint set leaves some intrinsic parameters unobservable "
@@ -357,14 +379,15 @@ def _minimal_roots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     scale = np.linalg.norm(mono, axis=0)
     scale[scale == 0.0] = 1.0
     mono /= scale
-    rank, _ = _rank_and_condition(mono)
+    _, sv, vt = np.linalg.svd(mono)
+    rank, _ = _rank_and_condition(sv, mono.shape)
     if rank < 4:
         raise DegenerateConstraintsError(
             "constraint set leaves some intrinsic parameters unobservable (monomial "
             f"system rank {rank} < 4; e.g. coplanar points or all pairs at equal depths)"
         )
     m0 = np.linalg.lstsq(mono, -a5 * weights, rcond=None)[0] / scale
-    n = np.linalg.svd(mono)[2][-1] / scale
+    n = vt[-1] / scale
     m1, m2, m3, m4, m5 = (np.array([nj, mj]) for nj, mj in zip(n, m0))
     mul = np.convolve
     cubic = mul(mul(m5, m1), m3) - (mul(mul(m2, m2), m3) + mul(mul(m4, m4), m1))
@@ -438,5 +461,6 @@ def enumerate_solutions(
         norm = float(np.linalg.norm(f))
         if norm < ROOT_RESIDUAL_TOL:
             k = SolverParams(*theta).to_intrinsics(width, height)
-            found.append(SolveReport(k, norm, 0, True, _rank_and_condition(jac)[1], "root"))
+            ill = _rank_and_condition(np.linalg.svd(jac, compute_uv=False), jac.shape)[1]
+            found.append(SolveReport(k, norm, 0, True, ill, "root"))
     return found

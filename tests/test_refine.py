@@ -69,6 +69,18 @@ class TestRefineJoint:
         assert errf < 2.0 < err0
         assert len(trace) <= 61
 
+    def test_tol_stops_after_the_first_accepted_step(self):
+        """Every decrease is below a huge tol, so the first accepted step ends
+        the descent where a one-step run ends it."""
+        cano, state0, _ = canonical_start(45.0)
+        final, trace = refine_joint(
+            state0, DEPTH_GT, FIELD_GT, cano, RefineConfig(max_steps=50, tol=1e300)
+        )
+        one, one_trace = refine_joint(state0, DEPTH_GT, FIELD_GT, cano, RefineConfig(max_steps=1))
+        assert len(trace) == 2 and trace == one_trace
+        np.testing.assert_array_equal(final.log_depth, one.log_depth)
+        np.testing.assert_array_equal(final.theta, one.theta)
+
     def test_trace_is_monotone_non_increasing(self):
         cano, state0, _ = canonical_start(90.0)
         _, trace = refine_joint(state0, DEPTH_GT, FIELD_GT, cano, RefineConfig(max_steps=40))

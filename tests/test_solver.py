@@ -13,7 +13,12 @@ import pytest
 
 from conftest import RICH_SCENE
 from metricshape.camera import Intrinsics, project_point, unproject_pixel
-from metricshape.errors import DegenerateConstraintsError, InfeasibleConstraintError
+from metricshape import solver
+from metricshape.errors import (
+    DegenerateConstraintsError,
+    InfeasibleConstraintError,
+    InvalidIntrinsicsError,
+)
 from metricshape.solver import (
     DistanceConstraint,
     SolverParams,
@@ -22,6 +27,9 @@ from metricshape.solver import (
     constraint_gradient,
     constraint_residual,
     _coefficient_matrix,
+    _huber_weights,
+    _jacobian,
+    _residuals,
     enumerate_solutions,
     solve_minimal,
     solve_overdetermined,
@@ -152,6 +160,17 @@ class TestParams:
     def test_positive_r_required(self):
         with pytest.raises(ValueError):
             SolverParams(t_x=0.0, t_y=0.0, r_x=-1e-3, r_y=1e-3)
+
+    @pytest.mark.parametrize("fields, name", [
+        ((math.nan, 0.0, 0.01, 0.01), "t_x"),
+        ((math.inf, 0.0, 0.01, 0.01), "t_x"),
+        ((0.0, 0.0, math.inf, 0.01), "r_x"),
+    ])
+    def test_non_finite_params_rejected(self, fields, name):
+        """A NaN or infinite start is the caller's error: not numpy's
+        LinAlgError, nor an InfeasibleConstraintError blaming the constraints."""
+        with pytest.raises(InvalidIntrinsicsError, match=f"{name} must be finite"):
+            SolverParams(*fields)
 
     def test_canonical_init_is_60_deg(self):
         params = canonical_params(640, 480)
@@ -353,6 +372,65 @@ class TestSolveOverdetermined:
         cons = random_exact_constraints(GT, 4, seed=2)
         with pytest.raises(ValueError):
             solve_overdetermined(cons, 640, 480, loss="cauchy")
+
+
+def huber_weights_from_np_median(f):
+    """Huber IRLS weights with the threshold taken from ``np.median``."""
+    absf = np.abs(f)
+    delta = 1.345 * float(np.median(absf)) / 0.6745
+    w = np.ones_like(f)
+    big = absf > delta
+    w[big] = delta / absf[big]
+    return w
+
+
+class TestLevenbergMarquardtMechanism:
+    @pytest.mark.parametrize("n", [4, 5, 100, 101])
+    def test_huber_weights_equal_the_np_median_formula(self, n):
+        """Tied values and exact zeros, up to a zero median."""
+        rng = np.random.default_rng(n)
+        for zeros in (0.0, 0.3, 0.7):
+            for _ in range(20):
+                levels = np.r_[rng.standard_normal(3), 0.0]
+                f = np.where(rng.random(n) < 0.5, rng.choice(np.r_[levels, -levels], n),
+                             rng.standard_normal(n))
+                f[rng.random(n) < zeros] = 0.0
+                assert _huber_weights(f).tobytes() == huber_weights_from_np_median(f).tobytes()
+
+    def test_jacobian_is_formed_at_accepted_points_only(self, monkeypatch):
+        """Each trial step forms residuals only. The Jacobian is formed at the
+        start and once per accepted step, from that trial's sx, sy."""
+        _, cons = scene_pairs(1, 12, rng_seed=1)
+        cons[0] = dataclasses.replace(cons[0], distance=cons[0].distance * 2.5)
+        calls = []
+
+        def counted_residuals(theta, rows, weights):
+            out = _residuals(theta, rows, weights)
+            calls.append(("f", out))
+            return out
+
+        def counted_jacobian(rows, weights, sx, sy):
+            calls.append(("J", (sx, sy)))
+            return _jacobian(rows, weights, sx, sy)
+
+        monkeypatch.setattr(solver, "_residuals", counted_residuals)
+        monkeypatch.setattr(solver, "_jacobian", counted_jacobian)
+        report = solve_overdetermined(cons, 640, 480, loss="huber")
+
+        trials = [out[0] for kind, out in calls if kind == "f"][1:]
+        assert len(trials) == report.iterations
+        # a trial is accepted when it lowers the Huber cost weighted at its base
+        base, expected = calls[0][1][0], ["f", "J"]
+        for f in trials:
+            w = _huber_weights(base)
+            accepted = (f * w) @ f < (base * w) @ base
+            expected += ["f", "J"] if accepted else ["f"]
+            base = f if accepted else base
+        assert [kind for kind, _ in calls] == expected
+        assert expected.count("J") < expected.count("f")
+        for (_, made), (kind, used) in zip(calls, calls[1:]):
+            if kind == "J":
+                assert used[0] is made[1] and used[1] is made[2]
 
 
 class TestLevenbergMarquardtPaths:

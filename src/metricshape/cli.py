@@ -88,9 +88,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_unproject(args: argparse.Namespace) -> int:
-    depth = fileio.read_depth_pfm(args.depth)
     if (args.intrinsics is None) == (args.field is None):
         raise DocumentError("provide either an intrinsics file or --field, not both")
+    depth = fileio.read_depth_pfm(args.depth)
     if args.intrinsics is not None:
         field = field_from_intrinsics(_read_intrinsics_for(args.intrinsics, depth))
     else:
@@ -101,12 +101,12 @@ def _cmd_unproject(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if (args.pred_intrinsics is None) != (args.gt_intrinsics is None):
+        raise DocumentError("--pred-intrinsics and --gt-intrinsics must be given together")
     pred = fileio.read_depth_pfm(args.pred_depth)
     gt = fileio.read_depth_pfm(args.gt_depth)
     dm = depth_metrics(pred, gt, cap=args.cap)
     doc = {"depth": asdict(dm)}
-    if (args.pred_intrinsics is None) != (args.gt_intrinsics is None):
-        raise DocumentError("--pred-intrinsics and --gt-intrinsics must be given together")
     if args.pred_intrinsics is not None:
         kp = _read_intrinsics_for(args.pred_intrinsics, pred)
         kg = _read_intrinsics_for(args.gt_intrinsics, gt)

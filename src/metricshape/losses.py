@@ -61,7 +61,7 @@ class LossValue:
     gradients: dict[str, np.ndarray]
 
 
-def silog_loss(pred: DepthMap, target: DepthMap, lam: float = 0.5) -> LossValue:
+def silog_loss(pred: DepthMap, target: DepthMap, lam: float = LossWeights.lam) -> LossValue:
     """Scale-invariant log loss (1/n) sum(e_i^2) - (lam/n^2) (sum e_i)^2.
 
     e_i = log(pred_i) - log(target_i) over jointly valid pixels. At lam=1

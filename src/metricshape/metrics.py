@@ -48,6 +48,8 @@ def depth_metrics(pred: DepthMap, gt: DepthMap, cap: float | None = None) -> Dep
     pixels deeper than cap meters from the mask (capping restricts the
     mask; values are never clamped).
     """
+    if cap is not None and not cap > 0.0:
+        raise InvalidSettingError(f"cap must be positive, got {cap}")
     if pred.values.shape != gt.values.shape:
         raise ShapeMismatchError(
             f"depth shapes differ: {pred.values.shape} vs {gt.values.shape}"
@@ -124,11 +126,12 @@ def shape_metrics(
     """F1 across thresholds plus the Chamfer distance, sharing one NN pass."""
     if len(p) == 0 or len(q) == 0:
         raise EmptyCloudError("shape metrics need two non-empty clouds")
-    _, d2_pq, _, d2_qp = _mutual_nearest(p.points, q.points)
-    f1 = {}
     for tau in thresholds:
         if not tau > 0.0:
             raise InvalidSettingError(f"tau must be positive, got {tau}")
+    _, d2_pq, _, d2_qp = _mutual_nearest(p.points, q.points)
+    f1 = {}
+    for tau in thresholds:
         precision = float((d2_pq <= tau * tau).mean())
         recall = float((d2_qp <= tau * tau).mean())
         f1[float(tau)] = (

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import DepthMap, Intrinsics, _freeze, _require_focal
+from .camera import DepthMap, Intrinsics, _freeze
 from .errors import InvalidInitializationError, InvalidSettingError, ShapeMismatchError
 from .incidence import (
     SINGULARITY_EPS,
@@ -39,7 +39,6 @@ from .metrics import (
     fov_error_stats,
     shape_metrics,
 )
-from .solver import DistanceConstraint, _coefficient_matrix, _residuals_and_jacobian
 
 ARMIJO_C = 1e-4
 BACKTRACK_SHRINK = 0.5
@@ -77,22 +76,17 @@ class RefineState:
         return _depth_map(self.log_depth, valid)
 
 
-def _focal(name: str, log_f: float) -> float:
-    """exp(log f), an overflow taken as inf; an infinite or zero focal length
-    raises the error Intrinsics raises for it (NaN passes, as a NaN loss)."""
+def _focal(log_f: float) -> float:
+    """exp(log f), an overflow taken as inf for Intrinsics to reject."""
     try:
-        f = math.exp(log_f)
+        return math.exp(log_f)
     except OverflowError:
-        f = math.inf
-    if not math.isnan(f):
-        _require_focal(name, f)
-    return f
+        return math.inf
 
 
 def _intrinsics(theta: np.ndarray, width: int, height: int) -> Intrinsics:
     return Intrinsics(
-        _focal("fx", theta[0]), _focal("fy", theta[1]), float(theta[2]), float(theta[3]),
-        width, height,
+        _focal(theta[0]), _focal(theta[1]), float(theta[2]), float(theta[3]), width, height
     )
 
 
@@ -102,23 +96,19 @@ def _depth_map(log_depth: np.ndarray, valid: np.ndarray) -> DepthMap:
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Step sizes, stops and the objective: the full ground truth when
-    ``constraints`` is None, otherwise only those distance constraints."""
+    """Loss weights, step sizes and stops of the full-ground-truth descent."""
 
     weights: LossWeights = field(default_factory=LossWeights)
     depth_lr: float = 0.1
     theta_lr: float = 0.5
     max_steps: int = 200
     tol: float = 0.0
-    constraints: tuple[DistanceConstraint, ...] | None = None
 
     def __post_init__(self) -> None:
         if not (self.depth_lr > 0.0 and self.theta_lr > 0.0):
             raise InvalidSettingError("learning rates must be positive")
         if self.max_steps < 0:
             raise InvalidSettingError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.constraints is not None and not self.constraints:
-            raise InvalidSettingError("constraints must be None (full ground truth) or non-empty")
 
 
 @dataclass(frozen=True)
@@ -167,31 +157,6 @@ def _full_gt_objective(
     return evaluate
 
 
-def _constraints_objective(constraints: tuple[DistanceConstraint, ...]):
-    """Sum of squared scaled constraint residuals as a function of theta."""
-    rows, weights = _coefficient_matrix(list(constraints))
-
-    def evaluate(log_depth: np.ndarray, theta: np.ndarray):
-        fx, fy = _focal("fx", theta[0]), _focal("fy", theta[1])
-        r_x, r_y = 1.0 / fx, 1.0 / fy
-        t_x, t_y = float(theta[2]) * r_x, float(theta[3]) * r_y
-        f, jac = _residuals_and_jacobian(np.array([t_x, t_y, r_x, r_y]), rows, weights)
-        # d loss / d (t_x, t_y, r_x, r_y), then chain into theta:
-        # t_x = cx * r_x and r_x = exp(-log fx), so d/d log fx = -(t_x d_tx + r_x d_rx)
-        d_tx, d_ty, d_rx, d_ry = 2.0 * (jac.T @ f)
-        grad_theta = np.array(
-            [
-                -(t_x * d_tx + r_x * d_rx),
-                -(t_y * d_ty + r_y * d_ry),
-                d_tx * r_x,
-                d_ty * r_y,
-            ]
-        )
-        return float(f @ f), np.zeros_like(log_depth), grad_theta
-
-    return evaluate
-
-
 def refine_joint(
     init: RefineState,
     gt_depth: DepthMap,
@@ -210,13 +175,9 @@ def refine_joint(
         raise ShapeMismatchError(
             f"state grid {init.log_depth.shape} does not match depth {gt_depth.values.shape}"
         )
-    if cfg.constraints is None:
-        evaluate = _full_gt_objective(gt_depth, gt_field, cano, cfg.weights)
-    else:
-        evaluate = _constraints_objective(cfg.constraints)
+    evaluate = _full_gt_objective(gt_depth, gt_field, cano, cfg.weights)
 
-    log_depth = init.log_depth.copy()
-    theta = init.theta.copy()
+    log_depth, theta = init.log_depth, init.theta
     loss, grad_d, grad_t = evaluate(log_depth, theta)
     if not math.isfinite(loss):
         raise InvalidInitializationError(f"loss at the initial state is {loss}")

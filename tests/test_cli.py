@@ -414,6 +414,13 @@ class TestUnproject:
         depth, intr, _ = synth(scene_file, tmp_path)
         assert main(["unproject", depth, "--out", str(tmp_path / "c.ply")]) == 1
 
+    def test_intrinsics_source_is_checked_before_the_depth_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.pfm")
+        assert main(["unproject", missing, "--out", str(tmp_path / "c.ply")]) == 1
+        assert capsys.readouterr().err == (
+            "error: provide either an intrinsics file or --field, not both\n"
+        )
+
 
 class TestEval:
     def test_perfect_prediction(self, scene_file, tmp_path, capsys):
@@ -458,6 +465,22 @@ class TestEval:
         gpath = str(tmp_path / "g.pfm")
         fileio.write_depth_pfm(gpath, gt)
         assert main(["eval", gpath, gpath, "--cap", "10"]) == 1
+
+    def test_nan_cap_is_named(self, tmp_path, capsys):
+        depth = str(tmp_path / "d.pfm")
+        fileio.write_depth_pfm(depth, DepthMap(np.ones((2, 2)), np.ones((2, 2), bool)))
+        assert main(["eval", depth, depth, "--cap", "nan"]) == 1
+        assert capsys.readouterr().err == "error: cap must be positive, got nan\n"
+
+    def test_intrinsics_pair_is_checked_before_the_maps_are_read(
+        self, scene_file, tmp_path, capsys
+    ):
+        _, intr, _ = synth(scene_file, tmp_path)
+        missing = str(tmp_path / "missing.pfm")
+        assert main(["eval", missing, missing, "--pred-intrinsics", intr]) == 1
+        assert capsys.readouterr().err == (
+            "error: --pred-intrinsics and --gt-intrinsics must be given together\n"
+        )
 
     @pytest.mark.parametrize("bad_side", [0, 1], ids=["pred", "gt"])
     def test_truncated_pfm_is_named(self, tmp_path, bad_side):

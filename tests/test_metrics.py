@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from metricshape.camera import DepthMap, Intrinsics, PointCloud
-from metricshape.errors import EmptyCloudError, EmptyOverlapError, ShapeMismatchError
+from metricshape.errors import (
+    EmptyCloudError, EmptyOverlapError, InvalidSettingError, ShapeMismatchError,
+)
 from metricshape.metrics import (
     depth_metrics,
     f1_at_threshold,
@@ -61,6 +63,13 @@ class TestDepthMetrics:
         pred, gt = one_pixel_maps(2.0, 20.0)
         with pytest.raises(EmptyOverlapError):
             depth_metrics(pred, gt, cap=10.0)
+
+    @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0])
+    def test_cap_that_is_not_positive_is_a_setting_error(self, cap):
+        """Named as a bad cap, not blamed on the data as an empty overlap."""
+        d = DepthMap(np.full((2, 2), 2.5), np.ones((2, 2), bool))
+        with pytest.raises(InvalidSettingError, match=f"^cap must be positive, got {cap}$"):
+            depth_metrics(d, d, cap=cap)
 
 
 class TestFovErrors:
@@ -158,3 +167,14 @@ class TestShapeMetrics:
         q = PointCloud(rng.uniform(-1, 1, (40, 3)))
         scores = list(shape_metrics(p, q).f1.values())
         assert all(a <= b for a, b in zip(scores, scores[1:]))
+
+    def test_bad_tau_is_rejected_before_the_nn_search(self, monkeypatch):
+        import metricshape.metrics as metrics
+
+        def no_search(*args):
+            raise AssertionError("nearest-neighbour search ran before the thresholds were checked")
+
+        monkeypatch.setattr(metrics, "_mutual_nearest", no_search)
+        p = PointCloud(np.zeros((3, 3)))
+        with pytest.raises(InvalidSettingError, match="^tau must be positive, got 0.0$"):
+            shape_metrics(p, p, (0.1, 0.0))

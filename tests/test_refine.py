@@ -1,7 +1,6 @@
 """Joint depth/intrinsics refinement: line-search contract and convergence."""
 
 import importlib
-import math
 
 import numpy as np
 import pytest
@@ -14,12 +13,11 @@ from metricshape.metrics import depth_metrics, fov_error_stats, shape_metrics
 from metricshape.refine import (
     RefineConfig,
     RefineState,
-    _constraints_objective,
+    _full_gt_objective,
     refine_joint,
     refine_report,
 )
-from metricshape.solver import _coefficient_matrix, _residuals_and_jacobian
-from metricshape.synthetic import Plane, SceneSpec, Sphere, render_depth, sample_constraints
+from metricshape.synthetic import Plane, SceneSpec, Sphere, render_depth
 
 
 W, H = 16, 12
@@ -104,20 +102,6 @@ class TestRefineJoint:
         rel /= DEPTH_GT.values[DEPTH_GT.valid]
         assert rel.max() < 1e-3
 
-    def test_constraints_only_supervision_moves_intrinsics(self):
-        from metricshape.synthetic import sample_constraints
-
-        cons = sample_constraints(DEPTH_GT, K_GT, 8, rng_seed=3, min_depth_ratio=1.2)
-        cano, state0, k0 = canonical_start(80.0)
-        cfg = RefineConfig(
-            constraints=tuple(cons), theta_lr=0.05, max_steps=800,
-        )
-        final, trace = refine_joint(state0, DEPTH_GT, FIELD_GT, cano, cfg)
-        err0 = fov_error_stats([k0], [K_GT]).per_sample[0]
-        errf = fov_error_stats([final.to_intrinsics(W, H)], [K_GT]).per_sample[0]
-        assert errf < 0.5 < err0
-        np.testing.assert_array_equal(final.log_depth, state0.log_depth)
-
     def test_non_finite_initial_loss_is_rejected(self):
         """log-depth of 709 makes depths ~8e307; their squared pairwise
         distances overflow, so the initial loss is infinite."""
@@ -132,47 +116,21 @@ class TestRefineJoint:
             RefineConfig(depth_lr=0.0)
         with pytest.raises(ValueError):
             RefineConfig(max_steps=-1)
-        with pytest.raises(ValueError):
-            RefineConfig(constraints=())
 
 
-class TestConstraintsObjective:
-    """The constraints-only objective is the solver kernel's f @ f, chained into theta."""
-
-    CONS = tuple(sample_constraints(DEPTH_GT, K_GT, 8, rng_seed=3, min_depth_ratio=1.2))
-    # (log fx, log fy, cx, cy) away from the truth, so the gradient is not zero
-    THETA = np.array(
-        [math.log(K_GT.fx) + 0.3, math.log(K_GT.fy) - 0.2, K_GT.cx + 1.5, K_GT.cy - 1.0]
-    )
-
-    def test_loss_is_kernel_sum_of_squares(self):
-        loss, grad_depth, _ = _constraints_objective(self.CONS)(DEPTH_GT.values, self.THETA)
-        r_x, r_y = 1.0 / math.exp(self.THETA[0]), 1.0 / math.exp(self.THETA[1])
-        solver_theta = np.array([self.THETA[2] * r_x, self.THETA[3] * r_y, r_x, r_y])
-        f, _ = _residuals_and_jacobian(solver_theta, *_coefficient_matrix(list(self.CONS)))
-        assert loss == float(f @ f) > 0.0
-        np.testing.assert_array_equal(grad_depth, 0.0)
-
-    def test_theta_gradient_matches_central_differences(self):
-        evaluate = _constraints_objective(self.CONS)
-        _, _, grad = evaluate(DEPTH_GT.values, self.THETA)
-        for j, h in enumerate((1e-6, 1e-6, 1e-4, 1e-4)):
-            tp, tm = self.THETA.copy(), self.THETA.copy()
-            tp[j] += h
-            tm[j] -= h
-            fd = (evaluate(DEPTH_GT.values, tp)[0] - evaluate(DEPTH_GT.values, tm)[0]) / (2 * h)
-            assert grad[j] == pytest.approx(fd, rel=1e-6)
-
+class TestFullGroundTruthObjective:
     @pytest.mark.parametrize("j, name", [(0, "fx"), (1, "fy")])
     @pytest.mark.parametrize("log_f, got", [(800.0, "inf"), (-800.0, "0.0")])
     def test_focal_beyond_float_range_is_invalid_intrinsics(self, j, name, log_f, got):
-        """math.exp raised OverflowError for the one and 1/f ZeroDivisionError
-        for the other: a trial step can reach such a theta."""
-        theta = self.THETA.copy()
+        """math.exp raises OverflowError for the one and underflows to 0 for
+        the other: a trial step can reach such a theta."""
+        cano, state0, _ = canonical_start(65.0)
+        theta = state0.theta.copy()
         theta[j] = log_f
+        evaluate = _full_gt_objective(DEPTH_GT, FIELD_GT, cano, LossWeights())
         message = f"^{name} must be finite and positive, got {got}$"
         with pytest.raises(InvalidIntrinsicsError, match=message):
-            _constraints_objective(self.CONS)(DEPTH_GT.values, theta)
+            evaluate(state0.log_depth, theta)
 
 
 class TestRefineReport:

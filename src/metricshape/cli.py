@@ -61,16 +61,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise DocumentError(f"{args.constraints}: need at least 4 constraints, got {len(constraints)}")
     init = canonical_params(depth.width, depth.height, fov_deg=args.init_fov)
     try:
-        if len(constraints) == 4 and not args.robust:
+        if len(constraints) == 4:
             report = solve_minimal(constraints, depth.width, depth.height, init=init)
         else:
-            report = solve_overdetermined(
-                constraints,
-                depth.width,
-                depth.height,
-                init=init,
-                loss="huber" if args.robust else "squared",
-            )
+            loss = "huber" if args.robust else "squared"
+            report = solve_overdetermined(constraints, depth.width, depth.height, init=init, loss=loss)
     except InfeasibleConstraintError as exc:
         raise InfeasibleConstraintError(f"{args.constraints}: {exc}") from exc
     if args.out:
@@ -190,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("constraints", help="JSON constraint records")
     p.add_argument("--init-fov", type=float, default=CANONICAL_FOV_DEG,
                    help="initial FoV guess in degrees")
-    p.add_argument("--robust", action="store_true", help="Huber-robustified residuals")
+    p.add_argument("--robust", action="store_true", help="Huber loss; 4 pairs are solved exactly")
     p.add_argument("--out", help="write recovered intrinsics JSON here")
     p.set_defaults(func=_cmd_calibrate)
 

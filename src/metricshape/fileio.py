@@ -76,7 +76,7 @@ def _read_pfm_tokens(stream: IO[bytes]) -> tuple[bytes, int, int, float]:
         width, height, scale = int(fields[0]), int(fields[1]), float(fields[2])
     except ValueError as exc:
         raise DocumentError(f"malformed PFM header: {exc}") from exc
-    if width < 1 or height < 1 or scale == 0.0:
+    if width < 1 or height < 1 or scale == 0.0 or not np.isfinite(scale):
         raise DocumentError("malformed PFM header values")
     return magic, width, height, scale
 
@@ -243,7 +243,7 @@ def read_ply(path: str) -> PointCloud:
                 except ValueError as exc:
                     raise DocumentError(f"{path}: bad vertex line {i}: {exc}") from exc
             # properties are declared float32; snap so ascii and binary agree
-            points = points.astype(np.float32).astype(np.float64)
+            points = _float32(points).astype(np.float64)
     return _named(path, PointCloud, points)
 
 

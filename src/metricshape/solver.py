@@ -16,9 +16,9 @@ cx = t_x/r_x, cy = t_y/r_y. Because a2 = a4, each equation is linear in
 m = (r_x^2, r_x*t_x, r_y^2, r_y*t_y, t_x^2 + t_y^2). Four pairs (the minimal
 problem) leave a line m0 + lambda*n, on which cameras satisfy
 m5*m1*m3 = m2^2*m3 + m4^2*m1: a cubic in lambda whose real roots with
-m1, m3 > 0 are every exact solution. More pairs, the Huber loss and the
-polish of a minimal root minimize the sum of squared equation values with
-Levenberg-Marquardt.
+m1, m3 > 0 are every exact solution. More pairs and a minimal root's polish
+minimize the sum of squared equation values with Levenberg-Marquardt; a
+Huber solve goes on to minimize their Huber loss at a threshold fixed from it.
 
 Each equation is divided by L^2 before stacking so the system is
 dimensionless and large-L constraints do not dominate.
@@ -259,18 +259,9 @@ def _residuals_and_jacobian(
     return f, _jacobian(rows, weights, sx, sy)
 
 
-def _huber_weights(f: np.ndarray) -> np.ndarray:
-    """IRLS weights for the Huber loss, threshold from the median absolute residual.
-
-    The median is ``np.median``'s value: the middle element, or the mean of
-    the two middle elements for even N. f holds no NaN (the solves raise on
-    invalid operations first), so its NaN check is not needed.
-    """
+def _huber_weights(f: np.ndarray, delta: float) -> np.ndarray:
+    """IRLS weights min(1, delta/|f|) of the Huber loss at threshold ``delta``; all ones at inf."""
     absf = np.abs(f)
-    half = len(f) // 2
-    part = np.partition(absf, (half - 1, half))
-    median = part[half] if len(f) % 2 else (part[half - 1] + part[half]) / 2.0
-    delta = 1.345 * float(median) / 0.6745
     w = np.ones_like(f)
     big = absf > delta
     w[big] = delta / absf[big]
@@ -301,17 +292,16 @@ def _within_float64(solve):
     return checked
 
 
-def _solve_lm(rows: np.ndarray, weights: np.ndarray, theta: np.ndarray, width: int, height: int,
-              robust: bool) -> SolveReport:
-    """Levenberg-Marquardt from ``theta``; plain least squares is Huber with unit weights."""
+def _solve_lm(rows: np.ndarray, weights: np.ndarray, theta: np.ndarray, f: np.ndarray,
+              jac: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, str]:
+    """Levenberg-Marquardt on the Huber loss at ``delta`` (least squares at inf) from ``theta``
+    and its ``f``, ``jac``. An accepted step lowers the cost weighted at its base point, which
+    lies above the Huber loss plus a constant and touches it there, so it lowers that loss too."""
     mu = DAMPING_INIT
     iterations = 0
     stop_reason = "max_iter"
-
-    f, sx, sy = _residuals(theta, rows, weights)
-    jac = _jacobian(rows, weights, sx, sy)
     for it in range(MAX_ITER):
-        rw = _huber_weights(f) if robust else np.ones_like(f)
+        rw = _huber_weights(f, delta)
         sqrt_w = np.sqrt(rw)
         fw, jw = f * sqrt_w, jac * sqrt_w[:, None]
         cost = float(fw @ fw)
@@ -352,7 +342,11 @@ def _solve_lm(rows: np.ndarray, weights: np.ndarray, theta: np.ndarray, width: i
             if mu > DAMPING_MAX:
                 stop_reason = "damping_max"
                 break
+    return theta, f, jac, iterations, stop_reason
 
+
+def _report(theta, f, jac, iterations, stop_reason, width, height) -> SolveReport:
+    """The report of an LM solve that ended at ``theta``; rank loss of ``jac`` is degenerate."""
     rank, condition_warning = _rank_and_condition(np.linalg.svd(jac, compute_uv=False), jac.shape)
     if rank < 4:
         raise DegenerateConstraintsError(
@@ -391,6 +385,8 @@ def _minimal_roots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     m1, m2, m3, m4, m5 = (np.array([nj, mj]) for nj, mj in zip(n, m0))
     mul = np.convolve
     cubic = mul(mul(m5, m1), m3) - (mul(mul(m2, m2), m3) + mul(mul(m4, m4), m1))
+    if not np.isfinite(cubic).all():  # np.convolve overflows without a floating-point error
+        raise FloatingPointError("overflow in the cubic's coefficients")
     lam = np.roots(cubic)
     m = m0 + lam.real[:, None] * n
     m = m[(lam.imag == 0.0) & (m[:, 0] > 0.0) & (m[:, 2] > 0.0)]
@@ -416,7 +412,8 @@ def solve_minimal(
     rows, weights = _coefficient_matrix(constraints)
     roots = _minimal_roots(rows, weights)
     start = min(roots, key=lambda theta: np.linalg.norm((theta - theta0) / unit), default=theta0)
-    return _solve_lm(rows, weights, start, width, height, robust=False)
+    f, jac = _residuals_and_jacobian(start, rows, weights)
+    return _report(*_solve_lm(rows, weights, start, f, jac, math.inf), width, height)
 
 
 @_within_float64
@@ -429,8 +426,9 @@ def solve_overdetermined(
 ) -> SolveReport:
     """Solve intrinsics from N >= 4 constraints, optionally Huber-robustified.
 
-    loss="huber" reweights residuals each iteration, with the threshold
-    derived from the median absolute residual, so no noise scale is needed.
+    loss="huber" fixes delta = 1.345 * median|f| / 0.6745 once from the squared
+    fit's equation values f, so no noise scale is needed, and goes on to minimize
+    the Huber loss of f at delta; an exact fit (delta = 0) is returned as it is.
     """
     if len(constraints) < 4:
         raise InvalidSettingError(f"need at least 4 constraints, got {len(constraints)}")
@@ -438,7 +436,14 @@ def solve_overdetermined(
         raise InvalidSettingError(f"loss must be 'squared' or 'huber', got {loss!r}")
     init = init if init is not None else canonical_params(width, height)
     rows, weights = _coefficient_matrix(constraints)
-    return _solve_lm(rows, weights, init.as_array(), width, height, robust=(loss == "huber"))
+    theta = init.as_array()
+    f, jac = _residuals_and_jacobian(theta, rows, weights)
+    theta, f, jac, iterations, stop_reason = _solve_lm(rows, weights, theta, f, jac, math.inf)
+    delta = 1.345 * float(np.median(np.abs(f))) / 0.6745 if loss == "huber" else 0.0
+    if delta > 0.0:
+        theta, f, jac, more, stop_reason = _solve_lm(rows, weights, theta, f, jac, delta)
+        iterations += more
+    return _report(theta, f, jac, iterations, stop_reason, width, height)
 
 
 @_within_float64

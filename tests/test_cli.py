@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 import metricshape
+from conftest import RICH_SCENE
 from metricshape import errors, fileio
 from metricshape.camera import DepthMap, Intrinsics
 from metricshape.cli import main
 from metricshape.metrics import depth_metrics
-from metricshape.synthetic import Plane, SceneSpec, Sphere, render_depth
+from metricshape.synthetic import (
+    NoiseSpec, Plane, SceneSpec, Sphere, make_camera, perturb, render_depth, sample_constraints,
+)
 
 RICH_SCENE_JSON = {
     "primitives": [
@@ -164,7 +167,7 @@ class TestCalibrate:
     @pytest.mark.parametrize("robust", [False, True], ids=["squared", "huber"])
     @pytest.mark.parametrize("pairs", [4, 6])
     def test_equal_depth_constraints_exit_degenerate(self, tmp_path, pairs, robust):
-        """Four pairs without --robust take the monomial path, the rest LM."""
+        """Four pairs take the monomial path, with or without --robust; more take LM."""
         k = Intrinsics(fx=100.0, fy=100.0, cx=32.0, cy=24.0, width=64, height=48)
         depth = render_depth(SceneSpec((Plane(point=(0, 0, 2.0), normal=(0, 0, -1.0)),)), k)
         dpath = tmp_path / "flat.pfm"
@@ -183,6 +186,24 @@ class TestCalibrate:
         cpath = tmp_path / "flat.json"
         cpath.write_text(json.dumps(records))
         assert main(["calibrate", str(dpath), str(cpath)] + ["--robust"] * robust) == 2
+
+    def test_robust_four_pairs_take_the_minimal_solve(self, tmp_path, capsys):
+        """Camera 9's four pairs with 1 % distance noise have no admissible
+        root. With --robust they went to the Huber LM, which cycled until
+        max_iter and exited 3; now --robust changes nothing at four pairs."""
+        k = make_camera(9, 160, 120)
+        depth = render_depth(RICH_SCENE, k)
+        cons = perturb(sample_constraints(depth, k, 4, rng_seed=0), depth,
+                       NoiseSpec(distance_sigma_rel=0.01, seed=0))[0]
+        dpath, cpath = str(tmp_path / "d.pfm"), str(tmp_path / "c.json")
+        fileio.write_depth_pfm(dpath, depth)
+        fileio.write_constraints(cpath, cons)
+        runs = []
+        for robust in (False, True):
+            code = main(["calibrate", dpath, cpath] + ["--robust"] * robust)
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert runs[1][0] == 0 and json.loads(runs[1][1])["stop_reason"] != "max_iter"
 
     @pytest.mark.parametrize("pairs, edit, robust", [
         (4, "huge-distances", False), (6, "tiny-equal-depth-pair", False),

@@ -124,6 +124,27 @@ class TestPfm:
         with pytest.raises(DocumentError, match=f"^{re.escape(str(path))}: "):
             read(str(path))
 
+    @pytest.mark.parametrize("header", [b"0 1\n-1.0", b"2 0\n-1.0", b"2 1\n0",
+                                        b"2 1\nnan", b"2 1\ninf", b"2 1\n-inf"],
+                             ids=["width-0", "height-0", "scale-0", "scale-nan", "scale-inf", "scale--inf"])
+    def test_bad_header_values_name_the_file(self, tmp_path, header):
+        """A NaN or infinite scale gives no byte order: read as big-endian, the
+        little-endian depths 1.5 and 2.5 came back as 6.9e-41 and 1.2e-41."""
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(b"Pf\n" + header + b"\n" + np.array([1.5, 2.5], "<f4").tobytes())
+        with pytest.raises(DocumentError, match="^" + re.escape(f"{path}: malformed PFM header values")):
+            fileio.read_depth_pfm(str(path))
+
+    @pytest.mark.parametrize("magic, read, message", [
+        (b"PF", fileio.read_depth_pfm, "expected a grayscale PFM depth map"),
+        (b"Pf", fileio.read_field_pfm, "expected a 3-channel PFM incidence field"),
+    ])
+    def test_other_variant_names_the_file(self, tmp_path, magic, read, message):
+        path = tmp_path / "other.pfm"
+        path.write_bytes(magic + b"\n1 1\n-1.0\n" + np.ones(3, "<f4").tobytes())
+        with pytest.raises(DocumentError, match="^" + re.escape(f"{path}: {message}")):
+            read(str(path))
+
 
 def float32_reference_text(value: float) -> str:
     """Shortest positional float32 text, one value at a time."""
@@ -248,11 +269,15 @@ class TestPly:
         self.write_raw(path, b"ascii", 2, b"0 0 0\n1 2 3")
         np.testing.assert_array_equal(fileio.read_ply(path).points, [[0, 0, 0], [1, 2, 3]])
 
-    @pytest.mark.parametrize("fmt", [b"ascii", b"binary_little_endian"])
-    def test_non_finite_vertex_is_document_error_naming_the_file(self, tmp_path, fmt):
+    @pytest.mark.parametrize("fmt, payload", [
+        (b"ascii", b"0 inf 1\n"),
+        (b"ascii", b"1e39 0 0\n"),
+        (b"binary_little_endian", np.array([[0.0, np.inf, 1.0]], "<f4").tobytes()),
+    ], ids=["ascii-inf", "ascii-beyond-float32", "binary-inf"])
+    def test_non_finite_vertex_is_document_error_naming_the_file(self, tmp_path, fmt, payload):
+        """An ASCII value beyond float32 becomes inf without a numpy warning."""
         path = str(tmp_path / "inf.ply")
-        vertex = np.array([[0.0, np.inf, 1.0]], "<f4")
-        self.write_raw(path, fmt, 1, b"0 inf 1\n" if fmt == b"ascii" else vertex.tobytes())
+        self.write_raw(path, fmt, 1, payload)
         with pytest.raises(DocumentError, match=re.escape(f"{path}: point coordinates must be finite")):
             fileio.read_ply(path)
 
@@ -262,6 +287,29 @@ class TestPly:
         with pytest.raises(DocumentError, match="float32"):
             fileio.write_ply(str(path), PointCloud(np.array([[0.0, 1e39, 1.0]])), binary=binary)
         assert not path.exists()
+
+    XYZ = b"property float x\nproperty float y\nproperty float z\n"
+
+    @pytest.mark.parametrize("data, message", [
+        (b"plx\nformat ascii 1.0\n", "not a PLY file"),
+        (b"ply\nformat ascii 1.0\nelement vertex 1\n", "truncated PLY header"),
+        (b"ply\nformat ascii 1.0\nelement face 1\n" + XYZ + b"end_header\n", "only vertex elements"),
+        (b"ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\nend_header\n",
+         "only float properties"),
+        (b"ply\nelement vertex 1\n" + XYZ + b"end_header\n0 0 0\n", "unsupported PLY format None"),
+        (b"ply\nformat binary_big_endian 1.0\nelement vertex 1\n" + XYZ + b"end_header\n" + bytes(12),
+         "unsupported PLY format b'binary_big_endian'"),
+        (b"ply\nformat ascii 1.0\nelement vertex 2\n" + XYZ + b"end_header\n0 0 0.0000001\n",
+         "truncated PLY payload at vertex 1"),
+        (b"ply\nformat ascii 1.0\nelement vertex 1\n" + XYZ + b"end_header\n0 0 x\n",
+         "bad vertex line 0"),
+    ], ids=["not-ply", "truncated-header", "face-element", "double-property", "no-format",
+            "big-endian", "truncated-payload", "bad-vertex-line"])
+    def test_format_errors_name_the_file(self, tmp_path, data, message):
+        path = tmp_path / "bad.ply"
+        path.write_bytes(data)
+        with pytest.raises(DocumentError, match="^" + re.escape(f"{path}: {message}")):
+            fileio.read_ply(str(path))
 
     @pytest.mark.parametrize(
         "header_line", [b"", b"element", b"element vertex abc"], ids=["empty", "bare-element", "count-abc"]
@@ -320,6 +368,13 @@ class TestIntrinsicsDocument:
         path = str(tmp_path / "k.json")
         open(path, "w").write('{"fx": 1.0}')
         with pytest.raises(DocumentError, match="missing"):
+            fileio.read_intrinsics(path)
+
+    def test_non_integer_size_names_the_file(self, tmp_path):
+        path = str(tmp_path / "k.json")
+        open(path, "w").write('{"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0, "width": 4.0, "height": 4}')
+        with pytest.raises(DocumentError, match="^" + re.escape(
+                f"{path}: field 'width' must be an integer, got 4.0")):
             fileio.read_intrinsics(path)
 
     def test_invalid_values_become_document_errors(self, tmp_path):
@@ -413,6 +468,16 @@ class TestConstraintDocument:
             fileio.read_constraints(path, depth)
         assert len(fileio.read_constraints(path)) == 2
 
+    def test_pixel_without_valid_depth_names_the_record(self, tmp_path):
+        path = str(tmp_path / "c.json")
+        open(path, "w").write('[{"u1": 0, "v1": 0, "u2": 1, "v2": 1, "L": 4.0}]')
+        depth = DepthMap(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[True, True], [False, True]]))
+        assert len(fileio.read_constraints(path, depth)) == 1
+        open(path, "w").write('[{"u1": 0, "v1": 1, "u2": 1, "v2": 1, "L": 4.0}]')
+        with pytest.raises(DocumentError, match="^" + re.escape(
+                f"{path}: record 0: pixel (0, 1) has no valid depth")):
+            fileio.read_constraints(path, depth)
+
     def test_invalid_pixel_for_map_lookup(self, tmp_path):
         path = str(tmp_path / "c.json")
         open(path, "w").write('[{"u1": 0.5, "v1": 0, "u2": 1, "v2": 1, "L": 4.0}]')
@@ -437,6 +502,18 @@ class TestSceneDocument:
         assert isinstance(scene.primitives[0], Plane)
         assert isinstance(scene.primitives[1], Sphere)
         assert isinstance(scene.primitives[2], Box)
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"primitives": []}', "'primitives' must be a non-empty array"),
+        ('{"primitives": {}}', "'primitives' must be a non-empty array"),
+        ('{"primitives": [{"center": [0, 0, 5], "radius": 1}]}',
+         "primitive 0: each primitive needs a 'type' field"),
+    ], ids=["empty", "not-an-array", "untyped"])
+    def test_primitive_list_errors_name_the_file(self, tmp_path, doc, message):
+        path = str(tmp_path / "s.json")
+        open(path, "w").write(doc)
+        with pytest.raises(DocumentError, match="^" + re.escape(f"{path}: {message}")):
+            fileio.read_scene(path)
 
     def test_unknown_primitive_type(self, tmp_path):
         path = str(tmp_path / "s.json")

@@ -8,7 +8,7 @@ import pytest
 from metricshape.camera import DepthMap, Intrinsics, focal_from_fov
 from metricshape.errors import InvalidInitializationError, InvalidIntrinsicsError
 from metricshape.incidence import CanonicalCamera, field_from_intrinsics
-from metricshape.losses import LossWeights
+from metricshape.losses import LossValue, LossWeights
 from metricshape.metrics import depth_metrics, fov_error_stats, shape_metrics
 from metricshape.refine import (
     RefineConfig,
@@ -78,6 +78,28 @@ class TestRefineJoint:
         assert len(trace) == 2 and trace == one_trace
         np.testing.assert_array_equal(final.log_depth, one.log_depth)
         np.testing.assert_array_equal(final.theta, one.theta)
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0], ids=["zero-gradient", "line-search-runs-out"])
+    def test_constant_loss_stops_at_the_initial_state(self, monkeypatch, slope):
+        """A constant loss. With zero gradients the descent is zero, and the run
+        stops after one evaluation. With a nonzero depth gradient no trial passes
+        the Armijo test, and the run stops after MAX_BACKTRACKS trials."""
+        import metricshape.refine as refine
+
+        calls = []
+
+        def constant_loss(pred_depth, gt_depth, res_field, *rest):
+            calls.append(pred_depth)
+            return LossValue(1.5, {"depth": np.full(pred_depth.values.shape, slope),
+                                   "field": np.zeros(res_field.rays.shape)})
+
+        monkeypatch.setattr(refine, "total_loss", constant_loss)
+        cano, state0, _ = canonical_start(45.0)
+        final, trace = refine_joint(state0, DEPTH_GT, FIELD_GT, cano, RefineConfig(max_steps=10))
+        assert trace == [1.5]
+        assert len(calls) == (1 if slope == 0.0 else 1 + refine.MAX_BACKTRACKS)
+        np.testing.assert_array_equal(final.log_depth, state0.log_depth)
+        np.testing.assert_array_equal(final.theta, state0.theta)
 
     def test_trace_is_monotone_non_increasing(self):
         cano, state0, _ = canonical_start(90.0)

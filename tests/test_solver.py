@@ -34,7 +34,9 @@ from metricshape.solver import (
     solve_minimal,
     solve_overdetermined,
 )
-from metricshape.synthetic import Plane, SceneSpec, make_camera, render_depth, sample_constraints
+from metricshape.synthetic import (
+    NoiseSpec, Plane, SceneSpec, make_camera, perturb, render_depth, sample_constraints,
+)
 
 GT = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -75,6 +77,24 @@ def random_exact_constraints(k, n, seed, min_ratio=1.2):
         p2 = (rng.uniform(-1.5, 1.5), rng.uniform(-1.2, 1.2), z2)
         out.append(constraint_from_points(k, p1, p2))
     return out
+
+
+def noisy_huber_sets():
+    """Camera 9's four pairs at 160x120 with 1 % distance noise, as `synth --camera 9
+    --constraints 4 --noise 0.01` writes them; then 100 pairs with 1 % noise and 10
+    outliers (x1.5-3), and their first 12."""
+    k = make_camera(9, 160, 120)
+    depth = render_depth(RICH_SCENE, k)
+    four = perturb(sample_constraints(depth, k, 4, rng_seed=0), depth,
+                   NoiseSpec(distance_sigma_rel=0.01, seed=0))[0]
+    rng = np.random.default_rng(5)
+    many = [
+        dataclasses.replace(c, distance=c.distance * (1.0 + 0.01 * rng.standard_normal()))
+        for c in random_exact_constraints(GT, 100, seed=5)
+    ]
+    for i in rng.choice(100, 10, replace=False):
+        many[i] = dataclasses.replace(many[i], distance=many[i].distance * rng.uniform(1.5, 3.0))
+    return [(four, 160, 120), (many[:12], 640, 480), (many, 640, 480)]
 
 
 class TestCoefficients:
@@ -368,38 +388,61 @@ class TestSolveOverdetermined:
         assert report.iterations <= 20
         assert same_camera(report.intrinsics, GT, rel=0.05)
 
+    def test_huber_on_four_noisy_pairs_stops_before_max_iter(self):
+        """Camera 9's four pairs with 1 % distance noise have no admissible
+        root. With the threshold re-derived from the median every iteration,
+        the cost moved under LM and the solve cycled until MAX_ITER."""
+        cons, width, height = noisy_huber_sets()[0]
+        report = solve_overdetermined(cons, width, height, loss="huber")
+        assert report.stop_reason != "max_iter"
+        assert report.converged
+
     def test_unknown_loss_rejected(self):
         cons = random_exact_constraints(GT, 4, seed=2)
         with pytest.raises(ValueError):
             solve_overdetermined(cons, 640, 480, loss="cauchy")
 
 
-def huber_weights_from_np_median(f):
-    """Huber IRLS weights with the threshold taken from ``np.median``."""
+def huber_loss(f, delta):
+    """Sum of the Huber loss rho_delta: f^2/2 up to delta, delta*|f| - delta^2/2 beyond."""
     absf = np.abs(f)
-    delta = 1.345 * float(np.median(absf)) / 0.6745
-    w = np.ones_like(f)
-    big = absf > delta
-    w[big] = delta / absf[big]
-    return w
+    return float(np.where(absf <= delta, 0.5 * f * f, delta * absf - 0.5 * delta * delta).sum())
 
 
 class TestLevenbergMarquardtMechanism:
-    @pytest.mark.parametrize("n", [4, 5, 100, 101])
-    def test_huber_weights_equal_the_np_median_formula(self, n):
-        """Tied values and exact zeros, up to a zero median."""
-        rng = np.random.default_rng(n)
-        for zeros in (0.0, 0.3, 0.7):
-            for _ in range(20):
-                levels = np.r_[rng.standard_normal(3), 0.0]
-                f = np.where(rng.random(n) < 0.5, rng.choice(np.r_[levels, -levels], n),
-                             rng.standard_normal(n))
-                f[rng.random(n) < zeros] = 0.0
-                assert _huber_weights(f).tobytes() == huber_weights_from_np_median(f).tobytes()
+    @pytest.mark.parametrize("case", range(3), ids=["4-pairs", "12-pairs", "100-pairs"])
+    def test_accepted_huber_steps_lower_the_huber_loss(self, monkeypatch, case):
+        """The least-squares fit runs at delta = inf. Its values fix delta
+        once, and each point the Huber fit moves to lowers sum rho_delta(f)."""
+        cons, width, height = noisy_huber_sets()[case]
+        bases, ends, report = [], [], solver._report
+
+        def recorded_weights(f, delta):
+            bases.append((f, delta))
+            return _huber_weights(f, delta)
+
+        def recorded_report(theta, f, *rest):
+            ends.append(f)
+            return report(theta, f, *rest)
+
+        monkeypatch.setattr(solver, "_huber_weights", recorded_weights)
+        monkeypatch.setattr(solver, "_report", recorded_report)
+        solve_overdetermined(cons, width, height, loss="huber")
+
+        huber = [f for f, delta in bases if delta < math.inf]
+        assert [delta for _, delta in bases] == [math.inf] * (len(bases) - len(huber)) + [
+            1.345 * float(np.median(np.abs(huber[0]))) / 0.6745] * len(huber)
+        delta = bases[-1][1]
+        seen = huber + ends
+        points = [f for i, f in enumerate(seen) if i == 0 or f is not seen[i - 1]]
+        assert len(points) > 1
+        losses = [huber_loss(f, delta) for f in points]
+        assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_jacobian_is_formed_at_accepted_points_only(self, monkeypatch):
         """Each trial step forms residuals only. The Jacobian is formed at the
-        start and once per accepted step, from that trial's sx, sy."""
+        start and once per accepted step, from that trial's sx, sy, in both
+        fits of a Huber solve; the Huber fit starts from the squared fit's end."""
         _, cons = scene_pairs(1, 12, rng_seed=1)
         cons[0] = dataclasses.replace(cons[0], distance=cons[0].distance * 2.5)
         calls = []
@@ -413,24 +456,37 @@ class TestLevenbergMarquardtMechanism:
             calls.append(("J", (sx, sy)))
             return _jacobian(rows, weights, sx, sy)
 
+        def counted_weights(f, delta):
+            calls.append(("w", delta))
+            return _huber_weights(f, delta)
+
         monkeypatch.setattr(solver, "_residuals", counted_residuals)
         monkeypatch.setattr(solver, "_jacobian", counted_jacobian)
+        monkeypatch.setattr(solver, "_huber_weights", counted_weights)
         report = solve_overdetermined(cons, 640, 480, loss="huber")
 
-        trials = [out[0] for kind, out in calls if kind == "f"][1:]
+        # each trial is made at the threshold of the weights formed before it
+        trials, delta = [], None
+        for kind, out in calls[1:]:
+            if kind == "w":
+                delta = out
+            elif kind == "f":
+                trials.append((out[0], delta))
         assert len(trials) == report.iterations
-        # a trial is accepted when it lowers the Huber cost weighted at its base
+        assert trials[0][1] == math.inf and 0.0 < trials[-1][1] < math.inf
+        # a trial is accepted when it lowers the cost weighted at its base
         base, expected = calls[0][1][0], ["f", "J"]
-        for f in trials:
-            w = _huber_weights(base)
+        for f, delta in trials:
+            w = _huber_weights(base, delta)
             accepted = (f * w) @ f < (base * w) @ base
             expected += ["f", "J"] if accepted else ["f"]
             base = f if accepted else base
-        assert [kind for kind, _ in calls] == expected
+        made = [(kind, out) for kind, out in calls if kind != "w"]
+        assert [kind for kind, _ in made] == expected
         assert expected.count("J") < expected.count("f")
-        for (_, made), (kind, used) in zip(calls, calls[1:]):
+        for (_, made_out), (kind, used) in zip(made, made[1:]):
             if kind == "J":
-                assert used[0] is made[1] and used[1] is made[2]
+                assert used[0] is made_out[1] and used[1] is made_out[2]
 
 
 class TestLevenbergMarquardtPaths:
@@ -481,6 +537,18 @@ class TestFloat64Range:
         for solve in (enumerate_solutions, solve_minimal):
             with pytest.raises(InfeasibleConstraintError, match="float64"):
                 solve(cons, 640, 480)
+
+    def test_cubic_that_overflows_without_a_floating_point_error(self):
+        """Separations near 1e81: np.convolve overflows the cubic's coefficients
+        but raises no floating-point error, and np.roots raised LinAlgError."""
+        pairs = [((0, 0, 1, 0), 3.0, 1.0, 7.280109889280518e81),
+                 ((0, 1, 0, 0), 3.0, 1.0, 6.5e81),
+                 ((1, 0, 0, 0), 1.0, 2.0, 4.12310562561766e81),
+                 ((0, 1, 0, 0), 2.0, 1.0, 3.3166247903553997e81)]
+        cons = [DistanceConstraint(*uv, d1, d2, distance) for uv, d1, d2, distance in pairs]
+        for solve in (enumerate_solutions, solve_minimal):
+            with pytest.raises(InfeasibleConstraintError, match="cubic"):
+                solve(cons, 4, 6)
 
     @pytest.mark.parametrize("loss", ["squared", "huber"])
     @pytest.mark.parametrize("n", [4, 6])

@@ -150,14 +150,20 @@ def _nearest_squared(query: np.ndarray, reference: np.ndarray) -> tuple[np.ndarr
     The tree only selects the matching index; the squared distance is
     recomputed from the matched pair with the arithmetic of
     ``_squared_distance_matrix``, so away from ties both NN paths return
-    identical values.
+    identical values. A query whose distance to every reference overflows
+    matches nothing in the tree (index ``len(reference)``); it gets index 0
+    and an infinite squared distance, as in the all-pairs path.
     """
     # imported here so that commands without an NN search never load scipy
     from scipy.spatial import cKDTree
 
     idx = cKDTree(reference).query(query)[1]
+    lost = idx == len(reference)
+    idx[lost] = 0
     diff = query - reference[idx]
-    return idx, (diff * diff).sum(axis=1)
+    d2 = (diff * diff).sum(axis=1)
+    d2[lost] = np.inf
+    return idx, d2
 
 
 def _mutual_nearest(

@@ -7,6 +7,13 @@ gradient descent with a backtracking line search drives all of it downhill
 together. No network is involved; this is the mechanism, not a trained
 model.
 
+Step rule: each step's first trial is the Barzilai-Borwein step
+s^T y / y^T P y (Barzilai & Borwein, "Two-point step size gradient methods",
+IMA J. Numer. Anal. 1988) in the metric of P = diag(depth_lr, theta_lr),
+capped so that no log depth and no log focal moves by more than 1, and
+Armijo backtracking halves it from there. A trial that leaves float64 has an
+infinite loss and is rejected like any other.
+
 Parameterization: focal lengths live in log space so positivity needs no
 constraint handling; the principal point stays in raw pixels; depth is
 optimized as log-depth.
@@ -25,6 +32,7 @@ from .incidence import (
     SINGULARITY_EPS,
     CanonicalCamera,
     IncidenceField,
+    _ray_axes,
     canonical_field,
     extract_residual,
     field_from_intrinsics,
@@ -43,6 +51,9 @@ from .metrics import (
 ARMIJO_C = 1e-4
 BACKTRACK_SHRINK = 0.5
 MAX_BACKTRACKS = 40
+# bounds of the Barzilai-Borwein first trial step
+MIN_FIRST_TRIAL = 1e-6
+MAX_FIRST_TRIAL = 1e6
 
 
 @dataclass(frozen=True)
@@ -70,28 +81,19 @@ class RefineState:
         return cls(log_depth=log_depth, theta=theta)
 
     def to_intrinsics(self, width: int, height: int) -> Intrinsics:
-        return _intrinsics(self.theta, width, height)
+        log_fx, log_fy, cx, cy = self.theta
+        return Intrinsics(_focal(log_fx), _focal(log_fy), float(cx), float(cy), width, height)
 
     def to_depth_map(self, valid: np.ndarray) -> DepthMap:
-        return _depth_map(self.log_depth, valid)
+        return DepthMap(np.where(valid, np.exp(self.log_depth), 0.0), valid)
 
 
 def _focal(log_f: float) -> float:
-    """exp(log f), an overflow taken as inf for Intrinsics to reject."""
+    """exp(log f), an overflow taken as inf."""
     try:
         return math.exp(log_f)
     except OverflowError:
         return math.inf
-
-
-def _intrinsics(theta: np.ndarray, width: int, height: int) -> Intrinsics:
-    return Intrinsics(
-        _focal(theta[0]), _focal(theta[1]), float(theta[2]), float(theta[3]), width, height
-    )
-
-
-def _depth_map(log_depth: np.ndarray, valid: np.ndarray) -> DepthMap:
-    return DepthMap(np.where(valid, np.exp(log_depth), 0.0), valid)
 
 
 @dataclass(frozen=True)
@@ -124,16 +126,36 @@ def _full_gt_objective(
     cano: CanonicalCamera,
     weights: LossWeights,
 ):
-    """Objective closure returning (loss, grad_log_depth, grad_theta)."""
+    """Objective closure returning (loss, grad_log_depth, grad_theta).
+
+    A state whose depths, focal lengths, rays or residual rays leave float64
+    (or whose depths or focals reach 0) has loss inf and no gradients; so
+    does one whose loss overflows on the way.
+    """
     h, w = gt_depth.height, gt_depth.width
     cano_grid = canonical_field(cano, w, h)
     valid = gt_depth.valid
     keep_x = np.abs(cano_grid.x) > SINGULARITY_EPS
     keep_y = np.abs(cano_grid.y) > SINGULARITY_EPS
+    # the divisors of extract_residual along each axis of the separable grid
+    safe_xs = np.where(keep_x[0], cano_grid.x[0], 1.0)
+    safe_ys = np.where(keep_y[:, 0], cano_grid.y[:, 0], 1.0)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(log_depth: np.ndarray, theta: np.ndarray):
-        depth = _depth_map(log_depth, valid)
-        k = _intrinsics(theta, w, h)
+        depths = np.where(valid, np.exp(log_depth), 1.0)
+        fx, fy = _focal(theta[0]), _focal(theta[1])
+        if not (
+            0.0 < fx < math.inf and 0.0 < fy < math.inf
+            and math.isfinite(theta[2]) and math.isfinite(theta[3])
+            and np.all(np.isfinite(depths)) and np.all(depths > 0.0)
+        ):
+            return math.inf, None, None
+        k = Intrinsics(fx, fy, float(theta[2]), float(theta[3]), w, h)
+        xs, ys = _ray_axes(k)
+        if not (np.all(np.isfinite(xs / safe_xs)) and np.all(np.isfinite(ys / safe_ys))):
+            return math.inf, None, None
+        depth = DepthMap(np.where(valid, depths, 0.0), valid)
         res, _ = extract_residual(field_from_intrinsics(k), cano_grid)
         lv = total_loss(depth, gt_depth, res, cano_grid, gt_field, weights)
 
@@ -157,6 +179,7 @@ def _full_gt_objective(
     return evaluate
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def refine_joint(
     init: RefineState,
     gt_depth: DepthMap,
@@ -166,10 +189,13 @@ def refine_joint(
 ) -> tuple[RefineState, list[float]]:
     """Gradient descent with backtracking line search on the combined loss.
 
-    Accepted steps never increase the loss, so the returned trace (one
-    entry per accepted step, first entry the initial loss) is monotonically
-    non-increasing. Stops at max_steps, at a stationary point, when the
-    line search fails, or when the achieved decrease drops below cfg.tol.
+    Each step's first trial is the capped Barzilai-Borwein step of the
+    module docstring; a trial whose loss is not finite fails the Armijo test
+    like any other. Accepted steps never increase the loss, so the returned
+    trace (one entry per accepted step, first entry the initial loss) is
+    monotonically non-increasing. Stops at max_steps, at a stationary point,
+    when the line search fails, or when the achieved decrease drops below
+    cfg.tol.
     """
     if init.log_depth.shape != gt_depth.values.shape:
         raise ShapeMismatchError(
@@ -182,6 +208,7 @@ def refine_joint(
     if not math.isfinite(loss):
         raise InvalidInitializationError(f"loss at the initial state is {loss}")
     trace = [loss]
+    step_d = step_t = prev_gd = prev_gt = None  # the last accepted step, the gradient before it
 
     for _ in range(cfg.max_steps):
         dir_d = cfg.depth_lr * grad_d
@@ -190,6 +217,17 @@ def refine_joint(
         if descent == 0.0:
             break
         t = 1.0
+        if step_d is not None:
+            # Barzilai-Borwein: s = the last step, y = the change of gradient it made
+            y_d, y_t = grad_d - prev_gd, grad_t - prev_gt
+            sy = float((step_d * y_d).sum() + step_t @ y_t)
+            ypy = float(cfg.depth_lr * (y_d * y_d).sum() + cfg.theta_lr * (y_t @ y_t))
+            if sy > 0.0 and ypy > 0.0:
+                t = min(max(sy / ypy, MIN_FIRST_TRIAL), MAX_FIRST_TRIAL)
+        # no log depth and no log focal moves by more than 1 in a trial
+        largest = max(float(np.abs(dir_d).max()), abs(dir_t[0]), abs(dir_t[1]))
+        if t * largest > 1.0:
+            t = 1.0 / largest
         accepted = False
         for _bt in range(MAX_BACKTRACKS):
             cand_d = log_depth - t * dir_d
@@ -202,6 +240,8 @@ def refine_joint(
         if not accepted:
             break
         decrease = loss - cand_loss
+        step_d, step_t = cand_d - log_depth, cand_t - theta
+        prev_gd, prev_gt = grad_d, grad_t
         log_depth, theta = cand_d, cand_t
         loss, grad_d, grad_t = cand_loss, cand_gd, cand_gt
         trace.append(loss)

@@ -260,7 +260,7 @@ def _residuals_and_jacobian(
 
 
 def _huber_weights(f: np.ndarray, delta: float) -> np.ndarray:
-    """IRLS weights min(1, delta/|f|) of the Huber loss at threshold ``delta``; all ones at inf."""
+    """IRLS weights min(1, delta/|f|) of the Huber loss at a finite threshold ``delta``."""
     absf = np.abs(f)
     w = np.ones_like(f)
     big = absf > delta
@@ -300,10 +300,14 @@ def _solve_lm(rows: np.ndarray, weights: np.ndarray, theta: np.ndarray, f: np.nd
     mu = DAMPING_INIT
     iterations = 0
     stop_reason = "max_iter"
+    robust = delta < math.inf
     for it in range(MAX_ITER):
-        rw = _huber_weights(f, delta)
-        sqrt_w = np.sqrt(rw)
-        fw, jw = f * sqrt_w, jac * sqrt_w[:, None]
+        if robust:
+            rw = _huber_weights(f, delta)
+            sqrt_w = np.sqrt(rw)
+            fw, jw = f * sqrt_w, jac * sqrt_w[:, None]
+        else:
+            fw, jw = f, jac  # unit weights: the products with 1.0 are exact
         cost = float(fw @ fw)
         norm = math.sqrt(cost)
         if norm < TOL_ABS:
@@ -328,7 +332,7 @@ def _solve_lm(rows: np.ndarray, weights: np.ndarray, theta: np.ndarray, f: np.nd
         accepted = False
         if candidate[2] > 0.0 and candidate[3] > 0.0:
             f_new, sx, sy = _residuals(candidate, rows, weights)
-            new_cost = float((f_new * rw) @ f_new)
+            new_cost = float((f_new * rw) @ f_new) if robust else float(f_new @ f_new)
             accepted = math.isfinite(new_cost) and new_cost < cost
         if accepted:
             theta, f = candidate, f_new

@@ -35,6 +35,17 @@ def scene_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def rich_scene_file(tmp_path):
+    """conftest.RICH_SCENE as a scene document: RICH_SCENE_JSON and a second sphere."""
+    primitives = RICH_SCENE_JSON["primitives"]
+    sphere = {"type": "sphere", "center": [-0.8, 0.5, 3.6], "radius": 0.6}
+    path = tmp_path / "rich.json"
+    path.write_text(json.dumps({"primitives": primitives[:2] + [sphere] + primitives[2:]}))
+    assert fileio.read_scene(str(path)) == RICH_SCENE
+    return str(path)
+
+
 def synth(scene_file, tmp_path, prefix="demo", **over):
     args = [
         "synth", scene_file, "--camera", "7", "--width", "160", "--height", "120",
@@ -557,17 +568,49 @@ class TestRefineCommand:
         refined = fileio.read_intrinsics(prefix + "_intrinsics.json")
         assert refined.fov_x() == pytest.approx(65.0, abs=5.0)
 
-    def test_trial_focal_that_overflows_is_input_error(self, scene_file, tmp_path, capsys):
-        """A line-search trial here overflows math.exp(log fx), which ended in
-        an OverflowError traceback; it is now the error an infinite fx gets."""
+    def test_trial_focal_that_overflows_is_rejected(self, scene_file, tmp_path, capsys):
+        """A line-search trial here would overflow math.exp(log fx) without the
+        log-space cap; a trial that leaves float64 has an infinite loss, is
+        rejected, and the refinement goes on."""
         t0, t0_k, _ = synth(scene_file, tmp_path, "t0", camera=0, width=24, height=18,
                             constraints=0)
         s, _, _ = synth(scene_file, tmp_path, "s", camera=7, width=24, height=18, constraints=0)
+        prefix = str(tmp_path / "r")
         code = main(["refine", t0, s, t0_k, "--steps", "6", "--init-fov", "75",
-                     "--out-prefix", str(tmp_path / "r")])
-        assert code == 1
-        assert capsys.readouterr().err == "error: fx must be finite and positive, got inf\n"
-        assert not list(tmp_path.glob("r_*"))
+                     "--out-prefix", prefix])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        trace = fileio.read_trace(prefix + "_trace.json")
+        assert 1 < len(trace) <= 7 and all(b <= a for a, b in zip(trace, trace[1:]))
+        assert fileio.read_depth_pfm(prefix + "_depth.pfm").valid.sum() == (
+            fileio.read_depth_pfm(t0).valid.sum())
+        assert fileio.read_intrinsics(prefix + "_intrinsics.json").width == 24
+
+    @pytest.mark.parametrize("init, gt, steps", [
+        ((1, 0), (1, 0), 4), ((5, 0), (5, 0), 4), ((7, 0), (7, 0), 4), ((8, 0), (8, 0), 4),
+        ((7, 0), (3, 12), 5),
+    ], ids=["camera-1", "camera-5", "camera-7", "camera-8", "camera-7-on-3"])
+    def test_steps_that_left_float_range_are_rejected(self, rich_scene_file, tmp_path, capsys,
+                                                      init, gt, steps):
+        """64x48 multi-primitive scenes whose first trial step used to take a
+        depth, a focal length or a point past float64 (an input error, or an
+        IndexError traceback for camera 7), or whose accepted steps took a
+        depth to 3.6e-97, which the PFM writer refused (camera 7 refined
+        against camera 3)."""
+        paths = {}
+        for camera, pairs in {init, gt}:
+            paths[camera] = synth(rich_scene_file, tmp_path, f"c{camera}", camera=camera,
+                                  width=64, height=48, constraints=pairs)
+        depth, (gt_depth, gt_k, _) = paths[init[0]][0], paths[gt[0]]
+        prefix = str(tmp_path / "r")
+        code = main(["refine", depth, gt_depth, gt_k, "--steps", str(steps),
+                     "--out-prefix", prefix])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        trace = fileio.read_trace(prefix + "_trace.json")
+        assert len(trace) == steps + 1 and all(b <= a for a, b in zip(trace, trace[1:]))
+        refined = fileio.read_depth_pfm(prefix + "_depth.pfm")
+        np.testing.assert_array_equal(refined.valid, fileio.read_depth_pfm(depth).valid)
 
     def test_invalid_weights_are_input_error(self, scene_file, tmp_path):
         depth, intr, _ = synth(scene_file, tmp_path)

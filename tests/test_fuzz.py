@@ -5,11 +5,10 @@ the suite).
 
 Most documents are well formed, with each field sometimes replaced by an
 arbitrary JSON value, so the examples reach past the parsers into the
-renderer, solvers and metrics; the rest are arbitrary JSON or bytes. Every
-size a document declares is tiny, so a check that fails to run before an
-allocation still allocates little; that includes the camera documents
-`synth` renders at. `refine` is left out: an overflowing line-search trial
-can still raise `IndexError` there.
+renderer, solvers, refinement and metrics; the rest are arbitrary JSON or
+bytes. Every size a document declares is tiny, so a check that fails to run
+before an allocation still allocates little; that includes the camera
+documents `synth` renders at.
 """
 
 import json
@@ -190,6 +189,27 @@ def test_eval_any_documents(tmp_path, data):
                  "--gt-intrinsics", write(tmp_path, "kg.json", data.draw(intrinsics(gw, gh)))]
     cap = data.draw(st.one_of(st.none(), st.floats()))
     run(argv + ([] if cap is None else [f"--cap={cap!r}"]))
+
+
+@FUZZ
+@given(data=st.data())
+def test_refine_any_documents_and_settings(tmp_path, data):
+    w, h = data.draw(SIDE), data.draw(SIDE)
+    gw, gh = data.draw(mostly(st.just((w, h)), st.tuples(SIDE, SIDE)))
+    argv = ["refine", write(tmp_path, "d.pfm", data.draw(pfm(w, h, 1))),
+            write(tmp_path, "g.pfm", data.draw(pfm(gw, gh, 1))),
+            write(tmp_path, "k.json", data.draw(intrinsics(gw, gh))),
+            "--steps", str(data.draw(st.integers(-1, 3))), "--out-prefix", str(tmp_path / "r")]
+    setting = {"--init-fov": st.floats(20.0, 120.0), "--lr-depth": st.floats(0.01, 2.0),
+               "--lr-theta": st.floats(0.01, 2.0)}
+    for flag, good in setting.items():
+        if data.draw(st.booleans()):
+            argv.append(f"{flag}={data.draw(mostly(good, st.floats()))!r}")
+    if data.draw(st.booleans()):
+        # non-negative, so that no value reads as an option
+        weight = mostly(st.floats(0.0, 1.0), st.floats(min_value=0.0))
+        argv += ["--weights"] + [repr(data.draw(weight)) for _ in range(4)]
+    run(argv)
 
 
 @FUZZ

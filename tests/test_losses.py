@@ -177,6 +177,21 @@ class TestChamfer:
                 np.testing.assert_array_equal(tree_idx, brute_idx)
                 np.testing.assert_array_equal(tree_d2, brute_d2)
 
+    def test_kdtree_lost_match_is_infinite_as_in_bruteforce(self):
+        """A query point whose squared distance to every reference overflows
+        has no match in the tree (cKDTree returns the index len(reference));
+        both paths give it index 0 and an infinite squared distance."""
+        rng = np.random.default_rng(10)
+        reference = rng.uniform(-2, 2, (20, 3))
+        query = rng.uniform(-2, 2, (5, 3))
+        query[2] = (0.0, 1e200, 1.0)
+        with np.errstate(over="ignore"):
+            brute_idx, brute_d2 = _row_nearest(_squared_distance_matrix(query, reference))
+            tree_idx, tree_d2 = _nearest_squared(query, reference)
+        assert tree_idx[2] == 0 and tree_d2[2] == np.inf
+        np.testing.assert_array_equal(tree_idx, brute_idx)
+        np.testing.assert_array_equal(tree_d2, brute_d2)
+
     def test_empty_cloud(self):
         p = PointCloud(np.zeros((0, 3)))
         q = PointCloud(np.array([[0.0, 0.0, 0.0]]))

@@ -465,8 +465,10 @@ class TestLevenbergMarquardtMechanism:
         monkeypatch.setattr(solver, "_huber_weights", counted_weights)
         report = solve_overdetermined(cons, 640, 480, loss="huber")
 
-        # each trial is made at the threshold of the weights formed before it
-        trials, delta = [], None
+        # each trial is made at the threshold of the weights formed before it;
+        # the least-squares fit forms none, its unit weights are left implicit
+        assert all(out < math.inf for kind, out in calls if kind == "w")
+        trials, delta = [], math.inf
         for kind, out in calls[1:]:
             if kind == "w":
                 delta = out

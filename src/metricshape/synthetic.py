@@ -163,6 +163,45 @@ def _box_hits(prim: Box, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return t_near
 
 
+# Rounding moves a pixel coordinate near the image by about 1e-16 times the
+# principal point's offset, and a sphere's silhouette by about 1e-16 times the
+# focal length times distance over radius, in pixels. Below this limit both
+# are far under the window's one-pixel margin; past it the window is the image.
+WINDOW_EXACT_LIMIT = 2.0**30
+
+
+def _window(prim: Primitive, k: Intrinsics) -> tuple[slice, slice]:
+    """Rows and columns outside which `prim` has no hit.
+
+    When a sphere's or box's axis-aligned box lies at z > 0, the projections
+    of its corners bound the primitive's projection (perspective maps convex
+    sets to convex sets); one pixel more on each side covers rounding at the
+    silhouette. A plane, a box reaching z <= 0, a corner that projects to no
+    finite pixel, or a camera or sphere past `WINDOW_EXACT_LIMIT` gets the
+    whole image.
+    """
+    whole = (slice(0, k.height), slice(0, k.width))
+    fx, fy, cx, cy = map(float, (k.fx, k.fy, k.cx, k.cy))
+    if isinstance(prim, Plane) or not max(abs(cx), abs(cy)) < WINDOW_EXACT_LIMIT:
+        return whole
+    if isinstance(prim, Sphere):
+        center, r = tuple(map(float, prim.center)), float(prim.radius)
+        if not max(fx, fy) * math.hypot(*center) / r < WINDOW_EXACT_LIMIT:
+            return whole
+        lo, hi = [c - r for c in center], [c + r for c in center]
+    else:
+        lo, hi = tuple(map(float, prim.min_corner)), tuple(map(float, prim.max_corner))
+    if not lo[2] > 0.0:
+        return whole
+    us = [fx * x / z + cx for x in (lo[0], hi[0]) for z in (lo[2], hi[2])]
+    vs = [fy * y / z + cy for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
+    if not all(map(math.isfinite, us + vs)):
+        return whole
+    r0, r1 = max(math.floor(min(vs)) - 1, 0), min(math.ceil(max(vs)) + 2, k.height)
+    c0, c1 = max(math.floor(min(us)) - 1, 0), min(math.ceil(max(us)) + 2, k.width)
+    return slice(r0, max(r0, r1)), slice(c0, max(c0, c1))
+
+
 def render_depth(scene: SceneSpec, k: Intrinsics) -> DepthMap:
     """Cast one ray per pixel and keep the z-depth of the nearest hit.
 
@@ -170,7 +209,10 @@ def render_depth(scene: SceneSpec, k: Intrinsics) -> DepthMap:
     parameter at the hit *is* the z-depth. Pixels with no hit are invalid.
     Hits are formed from the per-column x and per-row y ray components by
     elementwise operations in a fixed order, so their bits do not depend on
-    the BLAS build.
+    the BLAS build. A sphere or box is intersected only inside its
+    `_window`, the pixels its bounding box projects to plus a one-pixel
+    margin; outside it no ray hits, so the depths are bit for bit those of
+    casting every ray at every primitive.
     """
     for prim in scene.primitives:
         if _camera_inside(prim):
@@ -178,13 +220,17 @@ def render_depth(scene: SceneSpec, k: Intrinsics) -> DepthMap:
     xs, ys = _ray_axes(k)
     t_best = np.full((k.height, k.width), np.inf)
     for prim in scene.primitives:
+        rows, cols = _window(prim, k)
+        if rows.start == rows.stop or cols.start == cols.stop:
+            continue
         if isinstance(prim, Plane):
-            t = _plane_hits(prim, xs, ys)
+            t = _plane_hits(prim, xs[cols], ys[rows])
         elif isinstance(prim, Sphere):
-            t = _sphere_hits(prim, xs, ys)
+            t = _sphere_hits(prim, xs[cols], ys[rows])
         else:
-            t = _box_hits(prim, xs, ys)
-        np.minimum(t_best, t, out=t_best)
+            t = _box_hits(prim, xs[cols], ys[rows])
+        best = t_best[rows, cols]
+        np.minimum(best, t, out=best)
     valid = np.isfinite(t_best)
     t_best[~valid] = 0.0
     return DepthMap(t_best, valid)

@@ -1,12 +1,14 @@
 """Analytic renderer, constraint sampling, noise injection, camera draws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from metricshape.camera import Intrinsics, unproject_depth_map, unproject_pixel
+from metricshape.camera import Intrinsics, focal_from_fov, unproject_depth_map, unproject_pixel
 from metricshape.errors import DegenerateSceneError, InvalidSettingError, SamplingFailureError
+from metricshape.incidence import _ray_axes
 from metricshape.solver import SolverParams, coefficients_from_constraint, constraint_residual
 from metricshape.synthetic import (
     Box,
@@ -14,6 +16,11 @@ from metricshape.synthetic import (
     Plane,
     SceneSpec,
     Sphere,
+    _box_hits,
+    _camera_inside,
+    _plane_hits,
+    _sphere_hits,
+    _window,
     make_camera,
     perturb,
     render_depth,
@@ -162,6 +169,13 @@ REFERENCE_SCENES = {
     # spans z = -0.4 ... 0.6 and clears the camera
     "behind": (Sphere(center=(0.6, 0.1, 0.1), radius=0.5),
                Plane(point=(0.0, 0.0, 4.0), normal=(0.0, 0.0, -1.0))),
+    # reaches past the right and bottom borders
+    "cut-sphere": (Sphere(center=(2.3, 1.4, 3.0), radius=0.6),),
+    # projects wholly left of the image: its window is empty
+    "outside": (Box(min_corner=(-9.0, -1.0, 2.0), max_corner=(-6.0, 1.0, 3.0)),
+                Plane(point=(0.0, 0.0, 5.0), normal=(0.0, 0.0, -1.0))),
+    # spans z = -1 ... 2 beside the camera, so its window is the whole image
+    "straddling": (Box(min_corner=(0.3, -0.4, -1.0), max_corner=(1.2, 0.2, 2.0)),),
 }
 
 
@@ -179,6 +193,117 @@ class TestRenderMatchesPerPixelCast:
         assert valid.any()
         np.testing.assert_array_equal(depth.valid, valid)
         assert depth.values.tobytes() == values.tobytes()
+
+
+def _full_grid_render(scene, k):
+    """The element-wise minimum of every primitive's hits on every pixel."""
+    xs, ys = _ray_axes(k)
+    hits = {Plane: _plane_hits, Sphere: _sphere_hits, Box: _box_hits}
+    values = np.full((k.height, k.width), np.inf)
+    for prim in scene.primitives:
+        np.minimum(values, hits[type(prim)](prim, xs, ys), out=values)
+    valid = np.isfinite(values)
+    values[~valid] = 0.0
+    return values, valid
+
+
+def _assert_renders_as_full_grid(scene, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        depth = render_depth(scene, k)
+    values, valid = _full_grid_render(scene, k)
+    np.testing.assert_array_equal(depth.valid, valid)
+    assert depth.values.tobytes() == values.tobytes()
+    return depth
+
+
+def _sweep_camera(rng):
+    w, h = (int(n) for n in rng.integers(2, 41, size=2))
+    fx = focal_from_fov(rng.uniform(20.0, 170.0), w)
+    fy = focal_from_fov(rng.uniform(20.0, 170.0), h)
+    if rng.random() < 0.5:
+        # a ray column and row with a zero component, which faces on the
+        # x = 0 and y = 0 planes project onto exactly
+        cx, cy = float(rng.integers(0, w)), float(rng.integers(0, h))
+    else:
+        cx, cy = float(rng.uniform(-w, 2 * w)), float(rng.uniform(-h, 2 * h))
+    return Intrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h)
+
+
+def _sweep_primitive(rng, k):
+    """A sphere or box near the view cone, sometimes tangent to or bounded by
+    the x = 0 or y = 0 plane, sometimes reaching behind the camera."""
+    z = float(rng.uniform(0.3, 20.0))
+    # centre ratios over the image's ray extent and a little past it
+    x = z * (rng.uniform(-0.2, 1.2) * k.width - k.cx) / k.fx
+    y = z * (rng.uniform(-0.2, 1.2) * k.height - k.cy) / k.fy
+    size = z * float(rng.uniform(0.01, 0.6))
+    on_plane = rng.random() < 0.3
+    if rng.random() < 0.5:
+        if on_plane:
+            x = math.copysign(size, x)
+        return Sphere(center=(x, y, z), radius=size)
+    half = size * rng.uniform(0.2, 1.0, size=3)
+    lo = [x - half[0], y - half[1], z - half[2]]
+    hi = [x + half[0], y + half[1], z + half[2]]
+    if on_plane:
+        axis, side = int(rng.integers(2)), int(rng.integers(2))
+        (lo, hi)[side][axis] = 0.0
+        if not lo[axis] < hi[axis]:
+            lo[axis], hi[axis] = hi[axis], lo[axis]
+    if rng.random() < 0.15:
+        lo[2] = -z * float(rng.uniform(0.0, 1.0))
+    return Box(min_corner=tuple(map(float, lo)), max_corner=tuple(map(float, hi)))
+
+
+class TestRenderWindow:
+    """`render_depth` intersects a sphere or box only inside its projected
+    pixel window; outside it no ray hits, so the depths must be those of
+    intersecting every primitive at every pixel, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sweep_renders_as_full_grid(self, seed):
+        rng = np.random.default_rng(2300 + seed)
+        windows = {"empty": 0, "narrowed": 0, "whole": 0}
+        for _ in range(200):
+            k = _sweep_camera(rng)
+            prims = [_sweep_primitive(rng, k) for _ in range(int(rng.integers(1, 4)))]
+            prims = [p for p in prims if not _camera_inside(p)]
+            if rng.random() < 0.2:
+                prims.append(Plane(point=(0.0, 0.0, 25.0), normal=(0.1, -0.2, -1.0)))
+            if not prims:
+                continue
+            _assert_renders_as_full_grid(SceneSpec(tuple(prims)), k)
+            for prim in prims:
+                rows, cols = _window(prim, k)
+                size = (rows.stop - rows.start) * (cols.stop - cols.start)
+                kind = "empty" if size == 0 else "whole" if size == k.width * k.height else "narrowed"
+                windows[kind] += 1
+        # the sweep reaches every kind of window
+        assert min(windows.values()) >= 10, windows
+
+    def test_corner_beyond_float_range_renders_whole_image(self):
+        """fx * x / z overflows to -inf at the near corners: pixel coordinates
+        cannot be floored, and every ray enters the box at z = 1e-30."""
+        k = Intrinsics(fx=1e300, fy=100.0, cx=32.0, cy=24.0, width=64, height=48)
+        scene = SceneSpec((Box(min_corner=(-1.0, -1.0, 1e-30), max_corner=(1.0, 1.0, 1.0)),))
+        depth = _assert_renders_as_full_grid(scene, k)
+        assert depth.valid.all()
+        np.testing.assert_array_equal(depth.values, 1e-30)
+
+    def test_far_principal_point_renders_whole_image(self):
+        """At cx = 1e17 every column's ray rounds to one of a few, so pixel
+        coordinates computed from a corner cannot tell the columns apart."""
+        k = Intrinsics(fx=1e17, fy=10.0, cx=1e17, cy=10.0, width=20, height=20)
+        scene = SceneSpec((Box(min_corner=(-2.5, -1.0, 1.0), max_corner=(-2.0, 1.0, 2.0)),))
+        assert _assert_renders_as_full_grid(scene, k).n_valid == 99
+
+    def test_sphere_finer_than_rounding_renders_whole_image(self):
+        """At fx = 1e17 the rays of a whole row round to the one that grazes
+        the sphere, far past its window's one-pixel margin."""
+        k = Intrinsics(fx=1e17, fy=1e17, cx=10.0, cy=10.0, width=20, height=20)
+        scene = SceneSpec((Sphere(center=(-1.0, 0.0, 5.0), radius=1.0),))
+        assert _assert_renders_as_full_grid(scene, k).valid.all()
 
 
 class TestSampleConstraints:

@@ -9,11 +9,21 @@ cosine term and the point-cloud term.
 Conventions: natural log in the depth loss; the cosine term is implemented
 as mean(1 - cos) so that 0 is optimal and it adds positively to the total;
 rays are unit-normalized only here, immediately before the dot product.
+
+Above ``BRUTE_FORCE_LIMIT`` points a side the nearest-neighbour search uses
+k-d trees. The tree of the last target cloud is kept and reused while the
+target's content is unchanged (a refine's ground truth), and the two query
+directions run side by side: prediction->target on one worker thread,
+created on first use, while the calling thread builds the prediction's
+tree and runs target->prediction. The worker only queries (``cKDTree.query``
+releases the GIL); the trees and all arithmetic stay on the calling thread,
+under its ``np.errstate``. Same trees, same queries: the bits do not change.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +41,20 @@ BRUTE_FORCE_LIMIT = 500
 # entries (125 KB), below glibc's 128 KiB mmap threshold: a whole matrix is
 # mapped and unmapped per call, with page faults costing about its arithmetic.
 _NN_BLOCK_ENTRIES = 16_000
+
+# The k-d path's last target tree, and its one query worker (module docstring).
+_target_tree = None
+_nn_worker = None
+
+
+def _forget_nn_worker() -> None:
+    # a forked child has the parent's executor object but not its thread
+    global _nn_worker
+    _nn_worker = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only, as is fork
+    os.register_at_fork(after_in_child=_forget_nn_worker)
 
 
 @dataclass(frozen=True)
@@ -96,11 +120,17 @@ def cosine_incidence_loss(
     and the target ray are unit-normalized before the dot product. The
     gradient is w.r.t. the residual components (z slot zero).
     """
-    if res.rays.shape != target.rays.shape:
+    return _cosine_of_composed(compose_residual(res, cano), cano, target)
+
+
+def _cosine_of_composed(
+    composed: IncidenceField, cano: IncidenceField, target: IncidenceField
+) -> LossValue:
+    """``cosine_incidence_loss`` of a residual field that is already composed."""
+    if composed.rays.shape != target.rays.shape:
         raise ShapeMismatchError(
-            f"field shapes differ: {res.rays.shape} vs {target.rays.shape}"
+            f"field shapes differ: {composed.rays.shape} vs {target.rays.shape}"
         )
-    composed = compose_residual(res, cano)
     c = composed.rays
     t = target.rays
     # z=1 form guarantees |ray| >= 1, so normalization never divides by zero
@@ -113,7 +143,7 @@ def cosine_incidence_loss(
     t_hat = t / tn[..., None]
     c_hat = c / cn[..., None]
     dcos_dc = (t_hat - cos[..., None] * c_hat) / cn[..., None]
-    grad = np.zeros_like(res.rays)
+    grad = np.zeros_like(c)
     grad[..., 0] = -dcos_dc[..., 0] * cano.x / n
     grad[..., 1] = -dcos_dc[..., 1] * cano.y / n
     return LossValue(value=value, gradients={"field": grad})
@@ -145,7 +175,17 @@ def _row_nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nearest_squared(query: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of and squared distance to each query point's nearest reference, by k-d tree.
+    """Index of and squared distance to each query point's nearest reference, by k-d tree."""
+    # imported here so that commands without an NN search never load scipy
+    from scipy.spatial import cKDTree
+
+    return _matched_squared(query, reference, cKDTree(reference).query(query)[1])
+
+
+def _matched_squared(
+    query: np.ndarray, reference: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A k-d tree's match indices ``idx`` and the squared distance of each match.
 
     The tree only selects the matching index; the squared distance is
     recomputed from the matched pair with the arithmetic of
@@ -154,16 +194,29 @@ def _nearest_squared(query: np.ndarray, reference: np.ndarray) -> tuple[np.ndarr
     matches nothing in the tree (index ``len(reference)``); it gets index 0
     and an infinite squared distance, as in the all-pairs path.
     """
-    # imported here so that commands without an NN search never load scipy
-    from scipy.spatial import cKDTree
-
-    idx = cKDTree(reference).query(query)[1]
     lost = idx == len(reference)
     idx[lost] = 0
     diff = query - reference[idx]
     d2 = (diff * diff).sum(axis=1)
     d2[lost] = np.inf
     return idx, d2
+
+
+def _target_tree_of(qa: np.ndarray):
+    """A k-d tree of ``qa``: the kept one while its points equal ``qa``.
+
+    A tree holds its points uncopied, so it is kept only for a read-only
+    array that owns its memory (such as ``PointCloud.points``): nothing can
+    then change a kept tree's points behind its back.
+    """
+    global _target_tree
+    from scipy.spatial import cKDTree
+
+    tree = _target_tree
+    if tree is None or not np.array_equal(tree.data, qa):
+        tree = cKDTree(qa)
+        _target_tree = tree if not qa.flags.writeable and qa.flags.owndata else None
+    return tree
 
 
 def _mutual_nearest(
@@ -176,10 +229,22 @@ def _mutual_nearest(
     passes. It walks the matrix in blocks of rows: each block's rows give
     P->Q, and a running per-column minimum, replaced only where a later
     block is strictly smaller, gives Q->P with ties on the lowest index.
-    Above the limit, one k-d tree query per direction.
+    Above the limit, one k-d tree query per direction, the two at once:
+    P->Q against the target's (kept) tree on the worker, Q->P here.
     """
+    global _nn_worker
     if max(len(pa), len(qa)) > BRUTE_FORCE_LIMIT:
-        return _nearest_squared(pa, qa) + _nearest_squared(qa, pa)
+        if _nn_worker is None:
+            # imported here, like scipy: commands without an NN search skip its ~8 ms
+            from concurrent.futures import ThreadPoolExecutor
+
+            _nn_worker = ThreadPoolExecutor(1, thread_name_prefix="metricshape-nn")
+        pending = _nn_worker.submit(_target_tree_of(qa).query, pa)
+        try:
+            qp = _nearest_squared(qa, pa)
+        finally:  # the worker is idle again whenever this returns or raises
+            idx_pq = pending.result()[1]
+        return _matched_squared(pa, qa, idx_pq) + qp
     n, m = len(pa), len(qa)
     rows = max(1, _NN_BLOCK_ENTRIES // m)
     idx_pq, d2_pq = np.empty(n, dtype=np.intp), np.empty(n)
@@ -209,8 +274,9 @@ def chamfer_distance(p: PointCloud, q: PointCloud) -> LossValue:
 
     # one term per match, negated for its other end: -(2x/n) has the bits of (-2x)/n
     grad_p = 2.0 * (pa - qa[idx_pq]) / len(p)
-    grad_q = np.zeros_like(qa)
-    np.add.at(grad_q, idx_pq, -grad_p)
+    # bincount sums each match into a zero in order, as np.add.at into zeros does
+    neg = -grad_p
+    grad_q = np.stack([np.bincount(idx_pq, neg[:, k], len(q)) for k in range(3)], axis=1)
     term_qp = 2.0 * (qa - pa[idx_qp]) / len(q)
     grad_q += term_qp
     np.add.at(grad_p, idx_qp, -term_qp)
@@ -233,13 +299,13 @@ def total_loss(
     predicted depth grid and the residual field.
     """
     sil = silog_loss(pred_depth, gt_depth, weights.lam)
-    cos = cosine_incidence_loss(res_field, cano_field, gt_field)
+    composed = compose_residual(res_field, cano_field)
+    cos = _cosine_of_composed(composed, cano_field, gt_field)
     value = weights.alpha * sil.value + weights.beta * cos.value
     grad_depth = weights.alpha * sil.gradients["depth"]
     grad_field = weights.beta * cos.gradients["field"]
 
     if weights.gamma != 0.0:
-        composed = compose_residual(res_field, cano_field)
         cloud_pred = unproject_with_field(composed, pred_depth)
         cloud_gt = unproject_with_field(gt_field, gt_depth)
         cham = chamfer_distance(cloud_pred, cloud_gt)

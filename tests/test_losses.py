@@ -1,12 +1,19 @@
 """Loss values against hand computations; gradient checks live in acceptance."""
 
 import math
+import os
+import signal
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import metricshape.losses as losses
+from conftest import RICH_SCENE
 from metricshape.camera import DepthMap, Intrinsics, PointCloud
 from metricshape.errors import EmptyCloudError, EmptyOverlapError, ShapeMismatchError
 from metricshape.incidence import (
@@ -29,6 +36,8 @@ from metricshape.losses import (
     silog_loss,
     total_loss,
 )
+from metricshape.refine import RefineConfig, RefineState, _full_gt_objective, refine_joint
+from metricshape.synthetic import make_camera, render_depth
 
 
 def full_map(values):
@@ -292,6 +301,142 @@ class TestMutualNearestBlocks:
             assert mine.dtype == ref.dtype and _bits(mine) == _bits(ref)
 
 
+def _read_only(points):
+    """Points as ``PointCloud`` keeps them: a read-only array owning its memory."""
+    return PointCloud(points).points
+
+
+class TestKdTreeNearest:
+    """Above ``BRUTE_FORCE_LIMIT`` the target's tree is kept while its content is
+    unchanged, and the two query directions run on two threads; every output
+    has the bits of two fresh, one-after-the-other k-d tree passes."""
+
+    N = BRUTE_FORCE_LIMIT + 100
+
+    def fresh(self, pa, qa):
+        return _nearest_squared(pa, qa) + _nearest_squared(qa, pa)
+
+    def assert_bits(self, got, expected):
+        for mine, ref in zip(got, expected, strict=True):
+            assert mine.dtype == ref.dtype and _bits(mine) == _bits(ref)
+
+    def test_reused_tree_gives_fresh_bits_both_ways(self):
+        rng = np.random.default_rng(30)
+        qa = _read_only(rng.uniform(-2, 2, (self.N, 3)))
+        _mutual_nearest(_read_only(rng.uniform(-2, 2, (self.N, 3))), qa)
+        kept = losses._target_tree
+        assert kept is not None
+        for n in (self.N, 2 * self.N, 7):
+            pa = _read_only(rng.uniform(-2, 2, (n, 3)))
+            self.assert_bits(_mutual_nearest(pa, qa), self.fresh(pa, qa))
+            assert losses._target_tree is kept
+
+    def test_new_array_with_equal_content_reuses_the_tree(self):
+        rng = np.random.default_rng(31)
+        points = rng.uniform(-2, 2, (self.N, 3))
+        pa = _read_only(rng.uniform(-2, 2, (self.N, 3)))
+        _mutual_nearest(pa, _read_only(points))
+        kept = losses._target_tree
+        qa = _read_only(points.copy())
+        assert qa is not kept.data
+        self.assert_bits(_mutual_nearest(pa, qa), self.fresh(pa, qa))
+        assert losses._target_tree is kept
+
+    @pytest.mark.parametrize("where", [(0, 0), (17, 1), (-1, 2)])
+    def test_one_ulp_change_rebuilds_the_tree(self, where):
+        rng = np.random.default_rng(32)
+        points = rng.uniform(-2, 2, (self.N, 3))
+        pa = _read_only(rng.uniform(-2, 2, (self.N, 3)))
+        _mutual_nearest(pa, _read_only(points))
+        kept = losses._target_tree
+        points[where] = np.nextafter(points[where], np.inf)
+        qa = _read_only(points)
+        self.assert_bits(_mutual_nearest(pa, qa), self.fresh(pa, qa))
+        assert losses._target_tree is not kept
+        assert np.array_equal(losses._target_tree.data, qa)
+
+    def test_writeable_target_is_not_kept(self):
+        """A tree holds its points uncopied: one built on an array the caller
+        can still write to would go stale when the caller writes to it."""
+        rng = np.random.default_rng(33)
+        pa = rng.uniform(-2, 2, (self.N, 3))
+        qa = rng.uniform(-2, 2, (self.N, 3))
+        self.assert_bits(_mutual_nearest(pa, qa), self.fresh(pa, qa))
+        qa[:] = rng.uniform(-2, 2, (self.N, 3))
+        self.assert_bits(_mutual_nearest(pa, qa), self.fresh(pa, qa))
+        assert losses._target_tree is None
+
+    def test_worker_exception_reaches_the_caller_unchanged(self, monkeypatch):
+        class QueryFailed(Exception):
+            pass
+
+        ran_on = []
+
+        class FailingTree:
+            def query(self, points):
+                ran_on.append(threading.current_thread())
+                raise QueryFailed("from the worker")
+
+        monkeypatch.setattr(losses, "_target_tree_of", lambda qa: FailingTree())
+        rng = np.random.default_rng(34)
+        pa, qa = (_read_only(rng.uniform(-2, 2, (self.N, 3))) for _ in range(2))
+        with pytest.raises(QueryFailed, match="^from the worker$"):
+            _mutual_nearest(pa, qa)
+        assert ran_on and ran_on[0] is not threading.current_thread()
+
+    def test_at_most_one_worker_thread(self):
+        rng = np.random.default_rng(35)
+        for _ in range(3):
+            pa, qa = (_read_only(rng.uniform(-2, 2, (self.N, 3))) for _ in range(2))
+            _mutual_nearest(pa, qa)
+        workers = [t for t in threading.enumerate() if t.name.startswith("metricshape-nn")]
+        assert len(workers) == 1
+
+    def test_forked_child_starts_its_own_worker(self):
+        """A child forked after the worker started has the executor but not its
+        thread; a query submitted there would wait forever without a new one."""
+        rng = np.random.default_rng(36)
+        pa, qa = (_read_only(rng.uniform(-2, 2, (self.N, 3))) for _ in range(2))
+        expected = self.fresh(pa, qa)
+        _mutual_nearest(pa, qa)
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child reports through its exit code
+            try:
+                got = _mutual_nearest(pa, qa)
+                same = all(_bits(a) == _bits(b) for a, b in zip(got, expected))
+            finally:
+                os._exit(0 if same else 1)
+        deadline = time.monotonic() + 60.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's NN query did not finish")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_overflowing_trial_warns_nothing(self):
+        """Camera 7 of the multi-primitive scene at 64x48, through refine's
+        objective at a trial whose log depths are 700 out: the points stay
+        finite, every squared distance overflows and no point has a match. That
+        arithmetic runs under the objective's own np.errstate only because it
+        stays on the calling thread (the suite turns a RuntimeWarning into an
+        error); the refine itself warns nothing either."""
+        k = make_camera(7, 64, 48)
+        depth = render_depth(RICH_SCENE, k)
+        field = field_from_intrinsics(k)
+        cano = CanonicalCamera.for_image(64, 48, fov_deg=60.0)
+        init = RefineState.from_maps(depth, cano.intrinsics(64, 48))
+        evaluate = _full_gt_objective(depth, field, cano, LossWeights())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, _, _ = evaluate(init.log_depth + 700.0, init.theta)
+            _, trace = refine_joint(init, depth, field, cano, RefineConfig(max_steps=4))
+        assert loss == math.inf
+        assert len(trace) == 5 and all(math.isfinite(x) for x in trace)
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
 class TestWeights:
     def test_defaults(self):
         w = LossWeights()
@@ -348,3 +493,15 @@ class TestTotalLoss:
         assert lv.gradients["field"].shape == (self.h, self.w, 3)
         assert np.all(lv.gradients["field"][..., 2] == 0.0)
         assert np.any(lv.gradients["depth"] != 0.0)
+
+    def test_composes_the_residual_once(self, monkeypatch):
+        """The cosine term and the Chamfer cloud share one composed field."""
+        calls = []
+        compose = losses.compose_residual
+        monkeypatch.setattr(
+            losses, "compose_residual", lambda *args: calls.append(args) or compose(*args)
+        )
+        res, _ = extract_residual(self.gt_field, self.cano)
+        lv = total_loss(self.gt_depth, self.gt_depth, res, self.cano, self.gt_field)
+        assert len(calls) == 1
+        assert lv.value == pytest.approx(0.0, abs=1e-12)

@@ -59,7 +59,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     constraints = fileio.read_constraints(args.constraints, depth)
     if len(constraints) < 4:
         raise DocumentError(f"{args.constraints}: need at least 4 constraints, got {len(constraints)}")
-    init = canonical_params(depth.width, depth.height, fov_deg=args.init_fov)
+    init = None  # the library's start
+    if "init_fov" in args:
+        init = canonical_params(depth.width, depth.height, fov_deg=args.init_fov)
     try:
         if len(constraints) == 4:
             report = solve_minimal(constraints, depth.width, depth.height, init=init)
@@ -183,8 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="recover intrinsics from depth + distance constraints")
     p.add_argument("depth", help="PFM depth map")
     p.add_argument("constraints", help="JSON constraint records")
-    p.add_argument("--init-fov", type=float, default=CANONICAL_FOV_DEG,
-                   help="initial FoV guess in degrees")
+    p.add_argument("--init-fov", type=float, default=argparse.SUPPRESS,
+                   help="start from a centred camera with this FoV in degrees; by default 5+ "
+                        "pairs start from the closed-form least-squares camera (the 60-degree "
+                        "prior when it is not unique) and 4 pairs from the root nearest that prior")
     p.add_argument("--robust", action="store_true", help="Huber loss; 4 pairs are solved exactly")
     p.add_argument("--out", help="write recovered intrinsics JSON here")
     p.set_defaults(func=_cmd_calibrate)

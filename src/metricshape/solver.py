@@ -19,6 +19,11 @@ m5*m1*m3 = m2^2*m3 + m4^2*m1: a cubic in lambda whose real roots with
 m1, m3 > 0 are every exact solution. More pairs and a minimal root's polish
 minimize the sum of squared equation values with Levenberg-Marquardt; a
 Huber solve goes on to minimize their Huber loss at a threshold fixed from it.
+Without an ``init``, five or more pairs start LM from the least-squares m of
+their linear system, (t_x, t_y, r_x, r_y) = (m2/sqrt(m1), m4/sqrt(m3),
+sqrt(m1), sqrt(m3)), which is the camera itself for exact pairs; the
+canonical prior is the start when that system has rank < 5, m1 or m3 is not
+positive, or the start leaves float64.
 
 Each equation is divided by L^2 before stacking so the system is
 dimensionless and large-L constraints do not dominate.
@@ -349,6 +354,18 @@ def _solve_lm(rows: np.ndarray, weights: np.ndarray, theta: np.ndarray, f: np.nd
     return theta, f, jac, iterations, stop_reason
 
 
+def _fit(rows: np.ndarray, weights: np.ndarray, theta: np.ndarray, loss: str):
+    """Least-squares LM from ``theta``, then for loss="huber" the Huber LM at a delta
+    fixed from that fit; ``_solve_lm``'s tuple, with the iterations of both stages."""
+    f, jac = _residuals_and_jacobian(theta, rows, weights)
+    theta, f, jac, iterations, stop_reason = _solve_lm(rows, weights, theta, f, jac, math.inf)
+    delta = 1.345 * float(np.median(np.abs(f))) / 0.6745 if loss == "huber" else 0.0
+    if delta > 0.0:
+        theta, f, jac, more, stop_reason = _solve_lm(rows, weights, theta, f, jac, delta)
+        iterations += more
+    return theta, f, jac, iterations, stop_reason
+
+
 def _report(theta, f, jac, iterations, stop_reason, width, height) -> SolveReport:
     """The report of an LM solve that ended at ``theta``; rank loss of ``jac`` is degenerate."""
     rank, condition_warning = _rank_and_condition(np.linalg.svd(jac, compute_uv=False), jac.shape)
@@ -367,25 +384,33 @@ def _report(theta, f, jac, iterations, stop_reason, width, height) -> SolveRepor
     )
 
 
-def _minimal_roots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Every real solution (t_x, t_y, r_x, r_y) of exactly four weighted rows,
-    one per row of the result, from the monomial cubic."""
-    if len(rows) != 4:
-        raise InvalidSettingError(f"minimal solve needs exactly 4 constraints, got {len(rows)}")
+def _monomial_system(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The weighted rows' equations as one linear system in m, solved with its columns
+    equilibrated: the least-squares (minimum-norm) m0, the null direction n of the
+    smallest singular value, and the system's rank (five at most)."""
     a1, a2, a3, _, a5 = rows.T
     mono = np.stack(_monomials(a1, a2, a3, weights), 1)
     scale = np.linalg.norm(mono, axis=0)
     scale[scale == 0.0] = 1.0
     mono /= scale
-    _, sv, vt = np.linalg.svd(mono)
+    # full_matrices for four rows only: vt is then 5x5 either way, without an (N, N) u
+    _, sv, vt = np.linalg.svd(mono, full_matrices=len(mono) < 5)
     rank, _ = _rank_and_condition(sv, mono.shape)
+    m0 = np.linalg.lstsq(mono, -a5 * weights, rcond=None)[0] / scale
+    return m0, vt[-1] / scale, rank
+
+
+def _minimal_roots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Every real solution (t_x, t_y, r_x, r_y) of exactly four weighted rows,
+    one per row of the result, from the monomial cubic."""
+    if len(rows) != 4:
+        raise InvalidSettingError(f"minimal solve needs exactly 4 constraints, got {len(rows)}")
+    m0, n, rank = _monomial_system(rows, weights)
     if rank < 4:
         raise DegenerateConstraintsError(
             "constraint set leaves some intrinsic parameters unobservable (monomial "
             f"system rank {rank} < 4; e.g. coplanar points or all pairs at equal depths)"
         )
-    m0 = np.linalg.lstsq(mono, -a5 * weights, rcond=None)[0] / scale
-    n = vt[-1] / scale
     m1, m2, m3, m4, m5 = (np.array([nj, mj]) for nj, mj in zip(n, m0))
     mul = np.convolve
     cubic = mul(mul(m5, m1), m3) - (mul(mul(m2, m2), m3) + mul(mul(m4, m4), m1))
@@ -396,6 +421,21 @@ def _minimal_roots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     m = m[(lam.imag == 0.0) & (m[:, 0] > 0.0) & (m[:, 2] > 0.0)]
     r_x, r_y = np.sqrt(m[:, 0]), np.sqrt(m[:, 2])
     return np.stack([m[:, 1] / r_x, m[:, 3] / r_y, r_x, r_y], 1)
+
+
+def _linear_start(rows: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
+    """theta = (m2/sqrt(m1), m4/sqrt(m3), sqrt(m1), sqrt(m3)) from the least-squares m of
+    five or more rows; None when their monomial system has rank < 5, m1 or m3 is not
+    positive, or theta is not finite. The relation m5 = t_x^2 + t_y^2 is left to the fit."""
+    try:
+        m, _, rank = _monomial_system(rows, weights)
+        if rank < 5 or not (m[0] > 0.0 and m[2] > 0.0):
+            return None
+        r_x, r_y = math.sqrt(m[0]), math.sqrt(m[2])
+        theta = np.array([m[1] / r_x, m[3] / r_y, r_x, r_y])
+    except (FloatingPointError, np.linalg.LinAlgError):
+        return None
+    return theta if np.isfinite(theta).all() else None
 
 
 @_within_float64
@@ -416,8 +456,7 @@ def solve_minimal(
     rows, weights = _coefficient_matrix(constraints)
     roots = _minimal_roots(rows, weights)
     start = min(roots, key=lambda theta: np.linalg.norm((theta - theta0) / unit), default=theta0)
-    f, jac = _residuals_and_jacobian(start, rows, weights)
-    return _report(*_solve_lm(rows, weights, start, f, jac, math.inf), width, height)
+    return _report(*_fit(rows, weights, start, "squared"), width, height)
 
 
 @_within_float64
@@ -430,6 +469,12 @@ def solve_overdetermined(
 ) -> SolveReport:
     """Solve intrinsics from N >= 4 constraints, optionally Huber-robustified.
 
+    LM starts from ``init`` when given. Otherwise it starts from the least-squares
+    solution m of the column-equilibrated monomial system, at theta = (m2/sqrt(m1),
+    m4/sqrt(m3), sqrt(m1), sqrt(m3)), and from the canonical prior when that system
+    has rank < 5 (four pairs, coplanar points, two exact cameras), m1 or m3 is not
+    positive, or the start or a solve from it leaves float64.
+
     loss="huber" fixes delta = 1.345 * median|f| / 0.6745 once from the squared
     fit's equation values f, so no noise scale is needed, and goes on to minimize
     the Huber loss of f at delta; an exact fit (delta = 0) is returned as it is.
@@ -438,16 +483,17 @@ def solve_overdetermined(
         raise InvalidSettingError(f"need at least 4 constraints, got {len(constraints)}")
     if loss not in ("squared", "huber"):
         raise InvalidSettingError(f"loss must be 'squared' or 'huber', got {loss!r}")
-    init = init if init is not None else canonical_params(width, height)
     rows, weights = _coefficient_matrix(constraints)
-    theta = init.as_array()
-    f, jac = _residuals_and_jacobian(theta, rows, weights)
-    theta, f, jac, iterations, stop_reason = _solve_lm(rows, weights, theta, f, jac, math.inf)
-    delta = 1.345 * float(np.median(np.abs(f))) / 0.6745 if loss == "huber" else 0.0
-    if delta > 0.0:
-        theta, f, jac, more, stop_reason = _solve_lm(rows, weights, theta, f, jac, delta)
-        iterations += more
-    return _report(theta, f, jac, iterations, stop_reason, width, height)
+    fit = None
+    if init is None and (start := _linear_start(rows, weights)) is not None:
+        try:
+            fit = _fit(rows, weights, start, loss)
+        except FloatingPointError:
+            pass  # a solve from this start leaves float64; the prior's decides
+    if fit is None:
+        init = init if init is not None else canonical_params(width, height)
+        fit = _fit(rows, weights, init.as_array(), loss)
+    return _report(*fit, width, height)
 
 
 @_within_float64

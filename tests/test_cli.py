@@ -353,6 +353,22 @@ class TestCalibrate:
         ]))
         assert main(["calibrate", depth, str(few)]) == 1
 
+    @pytest.mark.parametrize("pairs", [4, 6])
+    def test_init_fov_is_passed_only_when_given(self, scene_file, tmp_path, monkeypatch, pairs):
+        """Without --init-fov the solve takes the library's start; with it, the
+        centred camera of that FoV."""
+        import metricshape.cli as cli
+        from metricshape.solver import canonical_params
+
+        depth, _, cons = synth(scene_file, tmp_path, constraints=pairs)
+        name = "solve_minimal" if pairs == 4 else "solve_overdetermined"
+        seen = []
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, **kw: seen.append(kw["init"]) or real(*a, **kw))
+        assert main(["calibrate", depth, cons]) == 0
+        assert main(["calibrate", depth, cons, "--init-fov", "45"]) == 0
+        assert seen == [None, canonical_params(160, 120, fov_deg=45.0)]
+
     def test_non_convergence_maps_to_exit_three(self, scene_file, tmp_path, monkeypatch):
         import metricshape.cli as cli
         from metricshape.solver import SolveReport
@@ -639,7 +655,7 @@ class TestRefineCommand:
         assert refine.init_fov == CANONICAL_FOV_DEG == 60.0
         assert (refine.steps, refine.lr_depth, refine.lr_theta) == (
             cfg.max_steps, cfg.depth_lr, cfg.theta_lr)
-        assert parse(["calibrate", "d.pfm", "c.json"]).init_fov == CANONICAL_FOV_DEG
+        assert "init_fov" not in parse(["calibrate", "d.pfm", "c.json"])
         evaluate = parse(["eval", "p.pfm", "g.pfm"])
         assert tuple(evaluate.f1_thresholds) == DEFAULT_F1_THRESHOLDS
         assert evaluate.cap is None and "axis" not in evaluate

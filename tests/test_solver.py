@@ -403,6 +403,120 @@ class TestSolveOverdetermined:
             solve_overdetermined(cons, 640, 480, loss="cauchy")
 
 
+class TestLinearStart:
+    """Without an ``init``, five or more pairs start LM from the least-squares
+    solution of the equilibrated monomial system; the canonical prior is the
+    start only when that system has rank < 5 or gives no camera."""
+
+    @staticmethod
+    def jittered_pairs(camera, n, noise=None):
+        k, cons = scene_pairs(camera, n, rng_seed=camera, center_jitter=20.0)
+        if noise is not None:
+            depth = render_depth(RICH_SCENE, k)
+            cons = perturb(cons, depth, noise)[0]
+        return k, cons
+
+    @staticmethod
+    def prior_fit(cons, loss="squared"):
+        return solve_overdetermined(cons, 640, 480, init=canonical_params(640, 480), loss=loss)
+
+    @pytest.mark.parametrize("n", [5, 6, 12])
+    @pytest.mark.parametrize("camera", [2, 3, 5, 6])
+    def test_exact_sets_start_at_the_truth(self, camera, n):
+        k, cons = self.jittered_pairs(camera, n)
+        for loss in ("squared", "huber"):
+            report = solve_overdetermined(cons, 640, 480, loss=loss)
+            assert (report.iterations, report.stop_reason) == (0, "tol_abs")
+            assert same_camera(report.intrinsics, k, rel=1e-9)
+
+    def test_many_exact_pairs_start_at_the_truth(self):
+        report = solve_overdetermined(random_exact_constraints(GT, 100, seed=2), 640, 480)
+        assert (report.iterations, report.stop_reason) == (0, "tol_abs")
+        assert same_camera(report.intrinsics, GT, rel=1e-9)
+
+    @pytest.mark.parametrize("camera, n", [(132, 12), (46, 6)])
+    def test_exact_sets_the_prior_start_misses(self, camera, n):
+        """From the 60-degree prior, LM stops at a stationary point of a wrong
+        camera (camera 132: fx 524.2 against 664.8)."""
+        k, cons = self.jittered_pairs(camera, n)
+        assert not same_camera(self.prior_fit(cons).intrinsics, k, rel=1e-3)
+        report = solve_overdetermined(cons, 640, 480)
+        assert report.final_residual_norm < 1e-14
+        assert same_camera(report.intrinsics, k, rel=1e-9)
+
+    def test_noisy_camera_132_reaches_the_lower_minimum(self):
+        """Twelve pairs with 1 % distance noise: the prior's solve ends at cost
+        0.0183 with the FoV 40 degrees off; the linear start reaches 0.0036."""
+        k, cons = self.jittered_pairs(132, 12, NoiseSpec(distance_sigma_rel=0.01, seed=132))
+        prior = self.prior_fit(cons)
+        assert prior.final_residual_norm ** 2 == pytest.approx(0.0183, abs=1e-4)
+        report = solve_overdetermined(cons, 640, 480)
+        assert report.converged
+        assert report.final_residual_norm ** 2 == pytest.approx(0.00362, abs=1e-5)
+        assert report.intrinsics.fx == pytest.approx(k.fx, rel=0.1)
+        assert report.intrinsics.fy == pytest.approx(k.fy, rel=0.1)
+
+    @pytest.mark.parametrize("loss", ["squared", "huber"])
+    @pytest.mark.parametrize("camera", [55, 59])
+    def test_rank_four_sets_start_from_the_prior(self, camera, loss):
+        """All twelve pairs but one on one plane: the monomial system has rank 4
+        and two exact cameras, so the solve is the prior's, as before."""
+        _, cons = self.jittered_pairs(camera, 12)
+        rows, weights = _coefficient_matrix(cons)
+        assert solver._monomial_system(rows, weights)[2] == 4
+        assert solver._linear_start(rows, weights) is None
+        assert solve_overdetermined(cons, 640, 480, loss=loss) == self.prior_fit(cons, loss)
+
+    def test_coplanar_set_fails_as_the_prior_does(self):
+        """Camera 15's twelve exact pairs lie on one plane: rank < 5, so the
+        prior's solve runs and its Jacobian rank loss raises."""
+        _, cons = self.jittered_pairs(15, 12)
+        rows, weights = _coefficient_matrix(cons)
+        assert solver._monomial_system(rows, weights)[2] < 5
+        with pytest.raises(DegenerateConstraintsError) as default:
+            solve_overdetermined(cons, 640, 480)
+        with pytest.raises(DegenerateConstraintsError) as prior:
+            self.prior_fit(cons)
+        assert str(default.value) == str(prior.value)
+
+    def test_given_init_is_the_start(self, monkeypatch):
+        """An explicit init never consults the linear system, and four pairs
+        (rank 4 at most) always start from the prior."""
+        _, cons = self.jittered_pairs(3, 12)
+        _, four = self.jittered_pairs(3, 4)
+        expected = [self.prior_fit(cons), self.prior_fit(cons, "huber"), self.prior_fit(four)]
+
+        def no_system(rows, weights):
+            raise AssertionError("the monomial system was formed")
+
+        monkeypatch.setattr(solver, "_monomial_system", no_system)
+        assert [self.prior_fit(cons), self.prior_fit(cons, "huber"), self.prior_fit(four)] == expected
+        monkeypatch.undo()
+        assert solve_overdetermined(four, 640, 480) == expected[2]
+
+    def test_floating_point_event_in_the_start_means_no_start(self, monkeypatch):
+        _, cons = self.jittered_pairs(3, 12)
+        rows, weights = _coefficient_matrix(cons)
+
+        def overflowing(rows, weights):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(solver, "_monomial_system", overflowing)
+        assert solver._linear_start(rows, weights) is None
+        assert solve_overdetermined(cons, 640, 480) == self.prior_fit(cons)
+
+    def test_start_that_leaves_float64_falls_back_to_the_prior(self, monkeypatch):
+        """A start whose residuals overflow is an InfeasibleConstraintError for an
+        explicit init; without one, the prior's solve runs instead."""
+        _, cons = self.jittered_pairs(3, 12)
+        far = np.array([0.0, 0.0, 1e200, 1e200])
+        with pytest.raises(InfeasibleConstraintError):
+            solve_overdetermined(cons, 640, 480, init=SolverParams(*far))
+        monkeypatch.setattr(solver, "_linear_start", lambda rows, weights: far)
+        for loss in ("squared", "huber"):
+            assert solve_overdetermined(cons, 640, 480, loss=loss) == self.prior_fit(cons, loss)
+
+
 def huber_loss(f, delta):
     """Sum of the Huber loss rho_delta: f^2/2 up to delta, delta*|f| - delta^2/2 beyond."""
     absf = np.abs(f)
@@ -442,7 +556,9 @@ class TestLevenbergMarquardtMechanism:
     def test_jacobian_is_formed_at_accepted_points_only(self, monkeypatch):
         """Each trial step forms residuals only. The Jacobian is formed at the
         start and once per accepted step, from that trial's sx, sy, in both
-        fits of a Huber solve; the Huber fit starts from the squared fit's end."""
+        fits of a Huber solve; the Huber fit starts from the squared fit's end.
+        It starts from the prior, whose least-squares fit rejects a trial (the
+        default linear start leaves none to reject)."""
         _, cons = scene_pairs(1, 12, rng_seed=1)
         cons[0] = dataclasses.replace(cons[0], distance=cons[0].distance * 2.5)
         calls = []
@@ -463,7 +579,7 @@ class TestLevenbergMarquardtMechanism:
         monkeypatch.setattr(solver, "_residuals", counted_residuals)
         monkeypatch.setattr(solver, "_jacobian", counted_jacobian)
         monkeypatch.setattr(solver, "_huber_weights", counted_weights)
-        report = solve_overdetermined(cons, 640, 480, loss="huber")
+        report = solve_overdetermined(cons, 640, 480, init=canonical_params(640, 480), loss="huber")
 
         # each trial is made at the threshold of the weights formed before it;
         # the least-squares fit forms none, its unit weights are left implicit

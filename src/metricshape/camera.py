@@ -24,6 +24,10 @@ from .errors import InvalidDepthError, InvalidIntrinsicsError, ShapeMismatchErro
 MAX_PIXELS = np.iinfo(np.intp).max // 24
 # the largest float32, the bound of every coordinate a PFM or PLY file holds
 FLOAT32_MAX = float(np.finfo(np.float32).max)
+# Work arrays are cut into blocks of at most this many float64 entries
+# (125 KB), below glibc's 128 KiB mmap threshold: a larger array is mapped
+# and unmapped per call, with page faults costing about its arithmetic.
+_BLOCK_ENTRIES = 16_000
 
 
 def _freeze(value, **arrays: np.ndarray) -> None:
@@ -31,6 +35,17 @@ def _freeze(value, **arrays: np.ndarray) -> None:
     for name, array in arrays.items():
         array.setflags(write=False)
         object.__setattr__(value, name, array)
+
+
+def _made(cls, **arrays: np.ndarray):
+    """A ``cls`` holding ``arrays`` as they are, without its constructor's copy and checks.
+
+    Only for values the package has just made and knows to be valid; every
+    public constructor, and so every document and CLI input, keeps its checks.
+    """
+    value = object.__new__(cls)
+    _freeze(value, **arrays)
+    return value
 
 
 def _require_focal(name: str, f: float) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import DepthMap, PointCloud
+from .camera import _BLOCK_ENTRIES, DepthMap, PointCloud
 from .errors import EmptyCloudError, EmptyOverlapError, InvalidSettingError, ShapeMismatchError
 from .incidence import IncidenceField, compose_residual, unproject_with_field
 
@@ -36,11 +36,6 @@ from .incidence import IncidenceField, compose_residual, unproject_with_field
 # and scipy is never imported: its import alone adds about 70 % to a small
 # refine's peak memory. Above it, k-d trees.
 BRUTE_FORCE_LIMIT = 500
-
-# The all-pairs pass forms its matrix in blocks of rows of at most this many
-# entries (125 KB), below glibc's 128 KiB mmap threshold: a whole matrix is
-# mapped and unmapped per call, with page faults costing about its arithmetic.
-_NN_BLOCK_ENTRIES = 16_000
 
 # The k-d path's last target tree, and its one query worker (module docstring).
 _target_tree = None
@@ -246,7 +241,8 @@ def _mutual_nearest(
             idx_pq = pending.result()[1]
         return _matched_squared(pa, qa, idx_pq) + qp
     n, m = len(pa), len(qa)
-    rows = max(1, _NN_BLOCK_ENTRIES // m)
+    # the all-pairs matrix in blocks of rows of at most _BLOCK_ENTRIES entries
+    rows = max(1, _BLOCK_ENTRIES // m)
     idx_pq, d2_pq = np.empty(n, dtype=np.intp), np.empty(n)
     idx_qp, d2_qp = np.zeros(m, dtype=np.intp), np.full(m, np.inf)
     for start in range(0, n, rows):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import DepthMap, Intrinsics, _freeze
+from .camera import DepthMap, Intrinsics, _freeze, _made
 from .errors import InvalidInitializationError, InvalidSettingError, ShapeMismatchError
 from .incidence import (
     SINGULARITY_EPS,
@@ -155,7 +155,8 @@ def _full_gt_objective(
         xs, ys = _ray_axes(k)
         if not (np.all(np.isfinite(xs / safe_xs)) and np.all(np.isfinite(ys / safe_ys))):
             return math.inf, None, None
-        depth = DepthMap(np.where(valid, depths, 0.0), valid)
+        # the depths were just tested finite and positive
+        depth = _made(DepthMap, values=np.where(valid, depths, 0.0), valid=valid)
         res, _ = extract_residual(field_from_intrinsics(k), cano_grid)
         lv = total_loss(depth, gt_depth, res, cano_grid, gt_field, weights)
 

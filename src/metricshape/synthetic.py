@@ -9,11 +9,20 @@ the z coordinate of the nearest front-facing hit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .camera import FLOAT32_MAX, DepthMap, Intrinsics, focal_from_fov, unproject_pixel
+from .camera import (
+    _BLOCK_ENTRIES,
+    FLOAT32_MAX,
+    DepthMap,
+    Intrinsics,
+    _made,
+    focal_from_fov,
+    unproject_pixel,
+)
 from .errors import DegenerateSceneError, InvalidSettingError, SamplingFailureError
 from .incidence import _ray_axes
 from .solver import DistanceConstraint
@@ -213,27 +222,41 @@ def render_depth(scene: SceneSpec, k: Intrinsics) -> DepthMap:
     `_window`, the pixels its bounding box projects to plus a one-pixel
     margin; outside it no ray hits, so the depths are bit for bit those of
     casting every ray at every primitive.
+
+    The image is rendered in bands of whole rows, at most `_BLOCK_ENTRIES`
+    pixels each (one row if a row is wider): each primitive is intersected
+    on the rows its window shares with the band and min-reduced into the
+    map, and the band's mask and zeroed misses are written before the next.
+    So the only full-size arrays are the map and its mask, and they are
+    handed to the `DepthMap` uncopied and unchecked: every valid depth is a
+    finite, positive ray parameter by construction.
     """
     for prim in scene.primitives:
         if _camera_inside(prim):
             raise DegenerateSceneError(f"camera origin lies inside {prim}")
     xs, ys = _ray_axes(k)
-    t_best = np.full((k.height, k.width), np.inf)
+    parts = []
     for prim in scene.primitives:
         rows, cols = _window(prim, k)
-        if rows.start == rows.stop or cols.start == cols.stop:
-            continue
-        if isinstance(prim, Plane):
-            t = _plane_hits(prim, xs[cols], ys[rows])
-        elif isinstance(prim, Sphere):
-            t = _sphere_hits(prim, xs[cols], ys[rows])
-        else:
-            t = _box_hits(prim, xs[cols], ys[rows])
-        best = t_best[rows, cols]
-        np.minimum(best, t, out=best)
-    valid = np.isfinite(t_best)
-    t_best[~valid] = 0.0
-    return DepthMap(t_best, valid)
+        if rows.start < rows.stop and cols.start < cols.stop:
+            hits = (_plane_hits if isinstance(prim, Plane)
+                    else _sphere_hits if isinstance(prim, Sphere) else _box_hits)
+            parts.append((prim, hits, rows, cols))
+    values = np.empty((k.height, k.width))
+    valid = np.empty((k.height, k.width), dtype=bool)
+    band = max(1, _BLOCK_ENTRIES // k.width)
+    for start in range(0, k.height, band):
+        stop = min(start + band, k.height)
+        t_best = values[start:stop]
+        t_best.fill(np.inf)
+        for prim, hits, rows, cols in parts:
+            r0, r1 = max(rows.start, start), min(rows.stop, stop)
+            if r0 < r1:
+                best = values[r0:r1, cols]
+                np.minimum(best, hits(prim, xs[cols], ys[r0:r1]), out=best)
+        hit = np.isfinite(t_best, out=valid[start:stop])
+        t_best[~hit] = 0.0
+    return _made(DepthMap, values=values, valid=valid)
 
 
 SAMPLING_ATTEMPTS_MIN = 10_000
@@ -256,22 +279,38 @@ def sample_constraints(
     from unprojecting both pixels with the ground-truth intrinsics.
     Deterministic for a fixed seed. Gives up after
     ``max(SAMPLING_ATTEMPTS_MIN, SAMPLING_ATTEMPTS_PER_PAIR * count)`` draws.
+
+    Each draw picks two distinct ranks among the valid pixels in row-major
+    order, the same draws as picking from an array of their flat indices,
+    without that full-image array: a rank finds its row by bisection in
+    the running per-row valid counts, and its column directly in a full row
+    or among the row's valid columns otherwise.
     """
     if count < 1:
         raise InvalidSettingError(f"count of constraints must be at least 1, got {count}")
     _require_seed("rng_seed", rng_seed)
     if not min_depth_ratio >= 1.0:
         raise InvalidSettingError(f"min_depth_ratio must be >= 1, got {min_depth_ratio}")
-    flat_valid = np.flatnonzero(depth.valid.ravel())
-    if flat_valid.size < 2 * count:
+    valid, values, w = depth.valid, depth.values, depth.width
+    # row_ends[r]: the valid pixels in rows 0 ... r
+    row_ends = np.cumsum(np.count_nonzero(valid, axis=1)).tolist()
+    n_valid = row_ends[-1] if row_ends else 0
+    if n_valid < 2 * count:
         raise SamplingFailureError(
             f"need at least {2 * count} valid pixels for {count} disjoint pairs, "
-            f"got {flat_valid.size}"
+            f"got {n_valid}"
         )
     budget = max(SAMPLING_ATTEMPTS_MIN, SAMPLING_ATTEMPTS_PER_PAIR * count)
     rng = np.random.default_rng(rng_seed)
-    values = depth.values.ravel()
-    w = depth.width
+
+    def pixel(rank: int) -> tuple[int, int]:
+        """Row and column of the valid pixel of this rank."""
+        row = bisect_right(row_ends, rank)
+        first = row_ends[row - 1] if row else 0
+        offset = rank - first
+        if row_ends[row] - first == w:
+            return row, offset
+        return row, int(np.flatnonzero(valid[row])[offset])
 
     used: set[int] = set()
     out: list[DistanceConstraint] = []
@@ -283,22 +322,22 @@ def sample_constraints(
                 f"could not sample {count} pairs with depth ratio >= {min_depth_ratio} "
                 f"in {budget} attempts ({len(out)} found)"
             )
-        i, j = rng.choice(flat_valid, size=2, replace=False)
+        i, j = rng.choice(n_valid, size=2, replace=False).tolist()
         if i in used or j in used:
             continue
-        d1, d2 = float(values[i]), float(values[j])
+        (v1, u1), (v2, u2) = pixel(i), pixel(j)
+        d1, d2 = float(values[v1, u1]), float(values[v2, u2])
         if max(d1, d2) / min(d1, d2) < min_depth_ratio:
             continue
-        u1, v1 = float(i % w), float(i // w)
-        u2, v2 = float(j % w), float(j // w)
+        u1, v1, u2, v2 = float(u1), float(v1), float(u2), float(v2)
         p1 = unproject_pixel(k, u1, v1, d1)
         p2 = unproject_pixel(k, u2, v2, d2)
         separation = math.dist(p1, p2)
         out.append(
             DistanceConstraint(u1=u1, v1=v1, u2=u2, v2=v2, d1=d1, d2=d2, distance=separation)
         )
-        used.add(int(i))
-        used.add(int(j))
+        used.add(i)
+        used.add(j)
     return out
 
 

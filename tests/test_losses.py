@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import metricshape.losses as losses
 from conftest import RICH_SCENE
-from metricshape.camera import DepthMap, Intrinsics, PointCloud
+from metricshape.camera import _BLOCK_ENTRIES, DepthMap, Intrinsics, PointCloud
 from metricshape.errors import EmptyCloudError, EmptyOverlapError, ShapeMismatchError
 from metricshape.incidence import (
     CanonicalCamera,
@@ -25,7 +25,6 @@ from metricshape.incidence import (
 )
 from metricshape.losses import (
     BRUTE_FORCE_LIMIT,
-    _NN_BLOCK_ENTRIES,
     LossWeights,
     _mutual_nearest,
     _nearest_squared,
@@ -279,7 +278,7 @@ class TestAllPairsNearestProperty:
 
 
 # rows per block at BRUTE_FORCE_LIMIT points a side, and the sizes around it
-_BLOCK = _NN_BLOCK_ENTRIES // BRUTE_FORCE_LIMIT
+_BLOCK = _BLOCK_ENTRIES // BRUTE_FORCE_LIMIT
 _BLOCK_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, BRUTE_FORCE_LIMIT - 1, BRUTE_FORCE_LIMIT)
 
 

@@ -1,16 +1,33 @@
 """Analytic renderer, constraint sampling, noise injection, camera draws."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from metricshape.camera import Intrinsics, focal_from_fov, unproject_depth_map, unproject_pixel
+import metricshape.synthetic as synthetic
+from conftest import RICH_SCENE
+from metricshape.camera import (
+    DepthMap,
+    Intrinsics,
+    focal_from_fov,
+    unproject_depth_map,
+    unproject_pixel,
+)
 from metricshape.errors import DegenerateSceneError, InvalidSettingError, SamplingFailureError
 from metricshape.incidence import _ray_axes
-from metricshape.solver import SolverParams, coefficients_from_constraint, constraint_residual
+from metricshape.solver import (
+    DistanceConstraint,
+    SolverParams,
+    coefficients_from_constraint,
+    constraint_residual,
+)
 from metricshape.synthetic import (
+    MIN_DEPTH_RATIO,
+    SAMPLING_ATTEMPTS_MIN,
+    SAMPLING_ATTEMPTS_PER_PAIR,
     Box,
     NoiseSpec,
     Plane,
@@ -256,6 +273,19 @@ def _sweep_primitive(rng, k):
     return Box(min_corner=tuple(map(float, lo)), max_corner=tuple(map(float, hi)))
 
 
+def _sweep_scenes(seed):
+    """The (scene, camera) cases of the window sweep with this seed."""
+    rng = np.random.default_rng(2300 + seed)
+    for _ in range(200):
+        k = _sweep_camera(rng)
+        prims = [_sweep_primitive(rng, k) for _ in range(int(rng.integers(1, 4)))]
+        prims = [p for p in prims if not _camera_inside(p)]
+        if rng.random() < 0.2:
+            prims.append(Plane(point=(0.0, 0.0, 25.0), normal=(0.1, -0.2, -1.0)))
+        if prims:
+            yield SceneSpec(tuple(prims)), k
+
+
 class TestRenderWindow:
     """`render_depth` intersects a sphere or box only inside its projected
     pixel window; outside it no ray hits, so the depths must be those of
@@ -263,18 +293,10 @@ class TestRenderWindow:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sweep_renders_as_full_grid(self, seed):
-        rng = np.random.default_rng(2300 + seed)
         windows = {"empty": 0, "narrowed": 0, "whole": 0}
-        for _ in range(200):
-            k = _sweep_camera(rng)
-            prims = [_sweep_primitive(rng, k) for _ in range(int(rng.integers(1, 4)))]
-            prims = [p for p in prims if not _camera_inside(p)]
-            if rng.random() < 0.2:
-                prims.append(Plane(point=(0.0, 0.0, 25.0), normal=(0.1, -0.2, -1.0)))
-            if not prims:
-                continue
-            _assert_renders_as_full_grid(SceneSpec(tuple(prims)), k)
-            for prim in prims:
+        for scene, k in _sweep_scenes(seed):
+            _assert_renders_as_full_grid(scene, k)
+            for prim in scene.primitives:
                 rows, cols = _window(prim, k)
                 size = (rows.stop - rows.start) * (cols.stop - cols.start)
                 kind = "empty" if size == 0 else "whole" if size == k.width * k.height else "narrowed"
@@ -304,6 +326,52 @@ class TestRenderWindow:
         k = Intrinsics(fx=1e17, fy=1e17, cx=10.0, cy=10.0, width=20, height=20)
         scene = SceneSpec((Sphere(center=(-1.0, 0.0, 5.0), radius=1.0),))
         assert _assert_renders_as_full_grid(scene, k).valid.all()
+
+
+def _cut_sphere_split(k):
+    """A band of rows whose first edge falls inside the cut sphere's window."""
+    rows, _ = _window(REFERENCE_SCENES["cut-sphere"][0], k)
+    assert rows.stop - rows.start >= 2
+    return (rows.start + (rows.stop - rows.start) // 2) * k.width
+
+
+# band sizes in pixels for a camera: one pixel; one under and one over a row
+# (one row per band either way); one under three rows (two rows per band);
+# and one whose band edge splits the cut sphere's window rows
+BANDS = {
+    "one-pixel": lambda k: 1,
+    "row-less-one": lambda k: k.width - 1,
+    "row-plus-one": lambda k: k.width + 1,
+    "three-rows-less-one": lambda k: 3 * k.width - 1,
+    "cut-sphere-split": _cut_sphere_split,
+}
+
+
+class TestRenderBands:
+    """`render_depth` fills the map in bands of rows; no band size may move a
+    bit, whether a band edge falls inside a window or not."""
+
+    @pytest.mark.parametrize("band", BANDS)
+    @pytest.mark.parametrize("cx, cy", [(32.0, 24.0), (31.37, 23.61)], ids=["integer", "fractional"])
+    def test_reference_scenes_render_as_full_grid(self, band, cx, cy, monkeypatch):
+        k = Intrinsics(fx=40.0, fy=36.0, cx=cx, cy=cy, width=64, height=48)
+        monkeypatch.setattr(synthetic, "_BLOCK_ENTRIES", BANDS[band](k))
+        for prims in REFERENCE_SCENES.values():
+            _assert_renders_as_full_grid(SceneSpec(prims), k)
+
+    @pytest.mark.parametrize("band", [b for b in BANDS if b != "cut-sphere-split"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sweep_renders_as_full_grid(self, band, seed, monkeypatch):
+        for scene, k in _sweep_scenes(seed):
+            monkeypatch.setattr(synthetic, "_BLOCK_ENTRIES", BANDS[band](k))
+            _assert_renders_as_full_grid(scene, k)
+
+    def test_returned_arrays_are_read_only(self):
+        depth = render_depth(SceneSpec(MIXED), K)
+        for array in (depth.values, depth.valid):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = array[0, 0]
 
 
 class TestSampleConstraints:
@@ -358,6 +426,126 @@ class TestSampleConstraints:
             p1 = unproject_pixel(K, c.u1, c.v1, c.d1)
             p2 = unproject_pixel(K, c.u2, c.v2, c.d2)
             assert c.distance == pytest.approx(math.dist(p1, p2), rel=1e-15)
+
+
+def _reference_sample(depth, k, count, rng_seed):
+    """`sample_constraints` as it was when it drew from an array of the valid
+    pixels' flat indices, argument checks left out, at the default ratio."""
+    min_depth_ratio = MIN_DEPTH_RATIO
+    flat_valid = np.flatnonzero(depth.valid.ravel())
+    if flat_valid.size < 2 * count:
+        raise SamplingFailureError(
+            f"need at least {2 * count} valid pixels for {count} disjoint pairs, "
+            f"got {flat_valid.size}"
+        )
+    budget = max(SAMPLING_ATTEMPTS_MIN, SAMPLING_ATTEMPTS_PER_PAIR * count)
+    rng = np.random.default_rng(rng_seed)
+    values = depth.values.ravel()
+    w = depth.width
+    used = set()
+    out = []
+    attempts = 0
+    while len(out) < count:
+        attempts += 1
+        if attempts > budget:
+            raise SamplingFailureError(
+                f"could not sample {count} pairs with depth ratio >= {min_depth_ratio} "
+                f"in {budget} attempts ({len(out)} found)"
+            )
+        i, j = rng.choice(flat_valid, size=2, replace=False)
+        if i in used or j in used:
+            continue
+        d1, d2 = float(values[i]), float(values[j])
+        if max(d1, d2) / min(d1, d2) < min_depth_ratio:
+            continue
+        u1, v1 = float(i % w), float(i // w)
+        u2, v2 = float(j % w), float(j // w)
+        p1 = unproject_pixel(k, u1, v1, d1)
+        p2 = unproject_pixel(k, u2, v2, d2)
+        out.append(DistanceConstraint(u1=u1, v1=v1, u2=u2, v2=v2, d1=d1, d2=d2,
+                                      distance=math.dist(p1, p2)))
+        used.add(int(i))
+        used.add(int(j))
+    return out
+
+
+def _mask(kind, rng):
+    valid = np.zeros((K.height, K.width), dtype=bool)
+    if kind == "all":
+        valid[:] = True
+    elif kind == "one-row":
+        valid[17] = True
+    elif kind == "partial-rows":
+        valid[:] = rng.random(valid.shape) < 0.3
+    elif kind == "empty-rows":  # full, partial and empty rows, the first and last full
+        valid[0] = valid[5:9] = valid[-1] = True
+        valid[20:30, 10:50] = rng.random((10, 40)) < 0.5
+    return valid
+
+
+class TestSampleMatchesFlatIndexDraws:
+    """Drawing ranks among the valid pixels and finding their rows by the
+    per-row counts picks the pixels the former draws from an array of flat
+    indices picked, in the same order, with the same failures."""
+
+    @pytest.mark.parametrize("kind", ["all", "one-row", "partial-rows", "empty-rows"])
+    @pytest.mark.parametrize("count", [1, 4, 12])
+    def test_same_constraints(self, kind, count):
+        rng = np.random.default_rng(count)
+        valid = _mask(kind, rng)
+        depth = DepthMap(np.where(valid, rng.uniform(1.0, 5.0, valid.shape), 0.0), valid)
+        for seed in range(5):
+            expected = _reference_sample(depth, K, count, seed)
+            assert sample_constraints(depth, K, count, rng_seed=seed) == expected
+
+    @pytest.mark.parametrize("kind, count", [("one-row", 40), ("none", 1)])
+    def test_same_failure_for_too_few_pixels(self, kind, count):
+        valid = _mask(kind, None)
+        depth = DepthMap(np.where(valid, 2.0, 0.0), valid)
+        with pytest.raises(SamplingFailureError) as expected:
+            _reference_sample(depth, K, count, 0)
+        with pytest.raises(SamplingFailureError, match=r"got \d+$") as got:
+            sample_constraints(depth, K, count, rng_seed=0)
+        assert str(got.value) == str(expected.value)
+
+    def test_same_failure_for_exhausted_budget(self):
+        depth = render_depth(SceneSpec((Plane(point=(0, 0, 2.0), normal=(0, 0, -1.0)),)), K)
+        with pytest.raises(SamplingFailureError) as expected:
+            _reference_sample(depth, K, 3, 0)
+        with pytest.raises(SamplingFailureError, match="attempts") as got:
+            sample_constraints(depth, K, 3, rng_seed=0)
+        assert str(got.value) == str(expected.value)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of its traced allocations above those at its call."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
+
+
+class TestMemory:
+    """numpy reports its buffers to tracemalloc, so the traced peak counts
+    every full-image array a call makes."""
+
+    def setup_method(self):
+        self.k = make_camera(0, 1000, 750, center_jitter=20.0)
+        self.depth = render_depth(RICH_SCENE, self.k)
+        sample_constraints(self.depth, self.k, 4, rng_seed=0)  # first-use caches
+
+    def test_render_holds_at_most_1_mb_beyond_its_map(self):
+        depth, peak = _traced_peak(render_depth, RICH_SCENE, self.k)
+        assert peak <= depth.values.nbytes + depth.valid.nbytes + 2**20
+
+    def test_sample_holds_at_most_half_a_mb(self):
+        _, peak = _traced_peak(sample_constraints, self.depth, self.k, 100, 1)
+        assert peak <= 2**19
 
 
 class TestNoiseSpec:

@@ -48,6 +48,17 @@ def _read_intrinsics_for(path: str, depth: DepthMap) -> Intrinsics:
     return k
 
 
+def _read_depth_pair(first: str, second: str) -> tuple[DepthMap, DepthMap]:
+    """The depth maps at ``first`` and ``second``, which must be of one size."""
+    a, b = fileio.read_depth_pfm(first), fileio.read_depth_pfm(second)
+    if a.values.shape != b.values.shape:
+        raise DocumentError(
+            f"depth maps differ in size: {first} is {a.width}x{a.height}, "
+            f"{second} is {b.width}x{b.height}"
+        )
+    return a, b
+
+
 def _given(args: argparse.Namespace, *names: str) -> dict:
     """The named options the command line set, as keyword arguments: an
     option left out takes the library's default."""
@@ -100,8 +111,7 @@ def _cmd_unproject(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if (args.pred_intrinsics is None) != (args.gt_intrinsics is None):
         raise DocumentError("--pred-intrinsics and --gt-intrinsics must be given together")
-    pred = fileio.read_depth_pfm(args.pred_depth)
-    gt = fileio.read_depth_pfm(args.gt_depth)
+    pred, gt = _read_depth_pair(args.pred_depth, args.gt_depth)
     dm = depth_metrics(pred, gt, cap=args.cap)
     doc = {"depth": asdict(dm)}
     if args.pred_intrinsics is not None:
@@ -148,8 +158,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
-    init_depth = fileio.read_depth_pfm(args.depth)
-    gt_depth = fileio.read_depth_pfm(args.gt_depth)
+    init_depth, gt_depth = _read_depth_pair(args.depth, args.gt_depth)
     gt_k = _read_intrinsics_for(args.gt_intrinsics, gt_depth)
     cano = CanonicalCamera.for_image(gt_depth.width, gt_depth.height, fov_deg=args.init_fov)
     state = RefineState.from_maps(init_depth, cano.intrinsics(gt_depth.width, gt_depth.height))

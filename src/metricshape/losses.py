@@ -8,7 +8,16 @@ cosine term and the point-cloud term.
 
 Conventions: natural log in the depth loss; the cosine term is implemented
 as mean(1 - cos) so that 0 is optimal and it adds positively to the total;
-rays are unit-normalized only here, immediately before the dot product.
+rays are unit-normalized only here, immediately before the dot product,
+and on x and y alone, since every field has z = 1.
+
+``total_loss`` keeps the ground truth's side of the objective (the log
+target depths, the target's ray norms and unit rays, the canonical
+components at the target's mask and the target cloud) for the last target,
+and reuses it while it gets the same target objects with read-only arrays:
+a refine passes the same ground truth to every evaluation, so each
+evaluation computes only the prediction's side. Kept terms are the terms
+a fresh call computes, so the bits do not change.
 
 Above ``BRUTE_FORCE_LIMIT`` points a side the nearest-neighbour search uses
 k-d trees. The tree of the last target cloud is kept and reused while the
@@ -25,6 +34,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,14 +103,21 @@ def silog_loss(pred: DepthMap, target: DepthMap, lam: float = LossWeights.lam) -
             f"depth shapes differ: {pred.values.shape} vs {target.values.shape}"
         )
     joint = pred.valid & target.valid
-    n = int(joint.sum())
+    return _silog(pred.values, joint, int(joint.sum()), np.log(target.values[joint]), lam)
+
+
+def _silog(
+    values: np.ndarray, joint: np.ndarray, n: int, log_target: np.ndarray, lam: float
+) -> LossValue:
+    """``silog_loss`` of predicted depths ``values`` against the target's log
+    depths ``log_target`` over the ``n`` pixels of ``joint``."""
     if n == 0:
         raise EmptyOverlapError("no jointly valid pixels")
-    d = pred.values[joint]
-    e = np.log(d) - np.log(target.values[joint])
+    d = values[joint]
+    e = np.log(d) - log_target
     total = float(e.sum())
     value = float(e @ e) / n - lam * total * total / (n * n)
-    grad = np.zeros_like(pred.values)
+    grad = np.zeros_like(values)
     grad[joint] = (2.0 / n) * e / d - (2.0 * lam / (n * n)) * total / d
     return LossValue(value=value, gradients={"depth": grad})
 
@@ -115,32 +132,41 @@ def cosine_incidence_loss(
     and the target ray are unit-normalized before the dot product. The
     gradient is w.r.t. the residual components (z slot zero).
     """
-    return _cosine_of_composed(compose_residual(res, cano), cano, target)
+    return _cosine(compose_residual(res, cano), cano, target, _target_rays(target))
 
 
-def _cosine_of_composed(
-    composed: IncidenceField, cano: IncidenceField, target: IncidenceField
+def _target_rays(target: IncidenceField) -> tuple[np.ndarray, ...]:
+    """The target's side of the cosine: its x and y, ray norms and unit x and y."""
+    tx, ty = target.x, target.y
+    # z=1 form guarantees |ray| >= 1, so normalization never divides by zero
+    tn = np.sqrt(tx * tx + ty * ty + 1.0)
+    return tx, ty, tn, tx / tn, ty / tn
+
+
+def _cosine(
+    composed: IncidenceField,
+    cano: IncidenceField,
+    target: IncidenceField,
+    target_rays: tuple[np.ndarray, ...],
 ) -> LossValue:
-    """``cosine_incidence_loss`` of a residual field that is already composed."""
+    """``cosine_incidence_loss`` of a residual field already composed, given
+    ``_target_rays(target)``. Both fields are in z=1 form, so each ray is
+    (x, y, 1) and only x and y are stored and differentiated."""
     if composed.rays.shape != target.rays.shape:
         raise ShapeMismatchError(
             f"field shapes differ: {composed.rays.shape} vs {target.rays.shape}"
         )
-    c = composed.rays
-    t = target.rays
-    # z=1 form guarantees |ray| >= 1, so normalization never divides by zero
-    cn = np.sqrt((c * c).sum(axis=2))
-    tn = np.sqrt((t * t).sum(axis=2))
-    cos = (c * t).sum(axis=2) / (cn * tn)
+    tx, ty, tn, tx_hat, ty_hat = target_rays
+    cx, cy = composed.x, composed.y
+    cn = np.sqrt(cx * cx + cy * cy + 1.0)
+    cos = (cx * tx + cy * ty + 1.0) / (cn * tn)
     n = cos.size
     value = float((1.0 - cos).mean())
 
-    t_hat = t / tn[..., None]
-    c_hat = c / cn[..., None]
-    dcos_dc = (t_hat - cos[..., None] * c_hat) / cn[..., None]
-    grad = np.zeros_like(c)
-    grad[..., 0] = -dcos_dc[..., 0] * cano.x / n
-    grad[..., 1] = -dcos_dc[..., 1] * cano.y / n
+    # d cos / d c = (t_hat - cos * c_hat) / |c|, then through c = res * cano
+    grad = np.zeros(composed.rays.shape)
+    grad[..., 0] = -((tx_hat - cos * (cx / cn)) / cn) * cano.x / n
+    grad[..., 1] = -((ty_hat - cos * (cy / cn)) / cn) * cano.y / n
     return LossValue(value=value, gradients={"field": grad})
 
 
@@ -241,6 +267,8 @@ def _mutual_nearest(
             idx_pq = pending.result()[1]
         return _matched_squared(pa, qa, idx_pq) + qp
     n, m = len(pa), len(qa)
+    # coordinate-major copies: each coordinate's column is read contiguously
+    pa, qa = np.asfortranarray(pa), np.asfortranarray(qa)
     # the all-pairs matrix in blocks of rows of at most _BLOCK_ENTRIES entries
     rows = max(1, _BLOCK_ENTRIES // m)
     idx_pq, d2_pq = np.empty(n, dtype=np.intp), np.empty(n)
@@ -275,8 +303,54 @@ def chamfer_distance(p: PointCloud, q: PointCloud) -> LossValue:
     grad_q = np.stack([np.bincount(idx_pq, neg[:, k], len(q)) for k in range(3)], axis=1)
     term_qp = 2.0 * (qa - pa[idx_qp]) / len(q)
     grad_q += term_qp
-    np.add.at(grad_p, idx_qp, -term_qp)
+    neg_qp = -term_qp
+    for k in range(3):  # a column at a time takes ufunc.at's fast 1-d path; same additions
+        np.add.at(grad_p[:, k], idx_qp, neg_qp[:, k])
     return LossValue(value=value, gradients={"points_p": grad_p, "points_q": grad_q})
+
+
+class _Target:
+    """The ground truth's side of ``total_loss``, each part made on first use.
+
+    It depends only on the target depth, the target field and the canonical
+    field, so it is kept for the last target (``_kept_target``) and reused
+    while ``total_loss`` gets the same three objects and their arrays are
+    still read-only, as the package's own values' arrays are. An array set
+    writeable makes the next call build a new one.
+    """
+
+    def __init__(self, depth: DepthMap, field: IncidenceField, cano: IncidenceField) -> None:
+        self.depth, self.field, self.cano = depth, field, cano
+
+    def serves(self, depth: DepthMap, field: IncidenceField, cano: IncidenceField) -> bool:
+        return (
+            depth is self.depth and field is self.field and cano is self.cano
+            and not (depth.values.flags.writeable or depth.valid.flags.writeable
+                     or field.rays.flags.writeable or cano.rays.flags.writeable)
+        )
+
+    @cached_property
+    def log_depth(self) -> tuple[int, np.ndarray]:
+        """The number of valid target pixels and the log target depth at each."""
+        valid = self.depth.valid
+        return int(valid.sum()), np.log(self.depth.values[valid])
+
+    @cached_property
+    def rays(self) -> tuple[np.ndarray, ...]:
+        return _target_rays(self.field)
+
+    @cached_property
+    def cloud(self) -> PointCloud:
+        return unproject_with_field(self.field, self.depth)
+
+    @cached_property
+    def cano_at_mask(self) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical x and y at the target's valid pixels."""
+        valid = self.depth.valid
+        return self.cano.x[valid], self.cano.y[valid]
+
+
+_kept_target = None
 
 
 def total_loss(
@@ -293,29 +367,44 @@ def total_loss(
     composed field; the target cloud is the ground-truth depth unprojected
     through the ground-truth field. Gradients are returned w.r.t. the
     predicted depth grid and the residual field.
+
+    The ground truth's terms (its log depths, ray norms and unit rays, its
+    cloud and the canonical components at its mask) are kept for the last
+    target and reused while the same ``gt_depth``, ``gt_field`` and
+    ``cano_field`` come back with read-only arrays; the log depths and the
+    canonical components serve a prediction whose mask is ``gt_depth.valid``
+    itself (refinement's case). The bits are those of fresh terms.
     """
-    sil = silog_loss(pred_depth, gt_depth, weights.lam)
+    global _kept_target
+    target = _kept_target
+    if target is None or not target.serves(gt_depth, gt_field, cano_field):
+        target = _kept_target = _Target(gt_depth, gt_field, cano_field)
+    m = pred_depth.valid
+    same_mask = m is gt_depth.valid
+    if same_mask:
+        sil = _silog(pred_depth.values, m, *target.log_depth, weights.lam)
+    else:
+        sil = silog_loss(pred_depth, gt_depth, weights.lam)
     composed = compose_residual(res_field, cano_field)
-    cos = _cosine_of_composed(composed, cano_field, gt_field)
+    cos = _cosine(composed, cano_field, gt_field, target.rays)
     value = weights.alpha * sil.value + weights.beta * cos.value
     grad_depth = weights.alpha * sil.gradients["depth"]
     grad_field = weights.beta * cos.gradients["field"]
 
     if weights.gamma != 0.0:
         cloud_pred = unproject_with_field(composed, pred_depth)
-        cloud_gt = unproject_with_field(gt_field, gt_depth)
-        cham = chamfer_distance(cloud_pred, cloud_gt)
+        cham = chamfer_distance(cloud_pred, target.cloud)
         value += weights.gamma * cham.value
 
-        m = pred_depth.valid
         gp = weights.gamma * cham.gradients["points_p"]
         d = pred_depth.values[m]
+        cano_x, cano_y = target.cano_at_mask if same_mask else (cano_field.x[m], cano_field.y[m])
         # point = depth * composed ray: depth moves the point along the ray,
         # the residual components scale x and y by depth * canonical component
         grad_depth[m] += (
             gp[:, 0] * composed.x[m] + gp[:, 1] * composed.y[m] + gp[:, 2]
         )
-        grad_field[..., 0][m] += gp[:, 0] * d * cano_field.x[m]
-        grad_field[..., 1][m] += gp[:, 1] * d * cano_field.y[m]
+        grad_field[..., 0][m] += gp[:, 0] * d * cano_x
+        grad_field[..., 1][m] += gp[:, 1] * d * cano_y
 
     return LossValue(value=float(value), gradients={"depth": grad_depth, "field": grad_field})

@@ -27,12 +27,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import DepthMap, Intrinsics, _freeze, _made
-from .errors import InvalidInitializationError, InvalidSettingError, ShapeMismatchError
+from .errors import (
+    DegenerateFieldError,
+    InvalidInitializationError,
+    InvalidIntrinsicsError,
+    InvalidSettingError,
+    ShapeMismatchError,
+)
 from .incidence import (
     SINGULARITY_EPS,
     CanonicalCamera,
     IncidenceField,
-    _ray_axes,
     canonical_field,
     extract_residual,
     field_from_intrinsics,
@@ -137,27 +142,23 @@ def _full_gt_objective(
     valid = gt_depth.valid
     keep_x = np.abs(cano_grid.x) > SINGULARITY_EPS
     keep_y = np.abs(cano_grid.y) > SINGULARITY_EPS
-    # the divisors of extract_residual along each axis of the separable grid
-    safe_xs = np.where(keep_x[0], cano_grid.x[0], 1.0)
-    safe_ys = np.where(keep_y[:, 0], cano_grid.y[:, 0], 1.0)
+    cano_x, cano_y = cano_grid.x[keep_x], cano_grid.y[keep_y]
 
     @np.errstate(over="ignore", invalid="ignore")
     def evaluate(log_depth: np.ndarray, theta: np.ndarray):
         depths = np.where(valid, np.exp(log_depth), 1.0)
-        fx, fy = _focal(theta[0]), _focal(theta[1])
-        if not (
-            0.0 < fx < math.inf and 0.0 < fy < math.inf
-            and math.isfinite(theta[2]) and math.isfinite(theta[3])
-            and np.all(np.isfinite(depths)) and np.all(depths > 0.0)
-        ):
+        # no NaN can pass: every comparison with NaN is false
+        if not (0.0 < depths.min() and depths.max() < math.inf):
             return math.inf, None, None
-        k = Intrinsics(fx, fy, float(theta[2]), float(theta[3]), w, h)
-        xs, ys = _ray_axes(k)
-        if not (np.all(np.isfinite(xs / safe_xs)) and np.all(np.isfinite(ys / safe_ys))):
+        try:
+            fx, fy = _focal(theta[0]), _focal(theta[1])
+            k = Intrinsics(fx, fy, float(theta[2]), float(theta[3]), w, h)
+            res, _ = extract_residual(field_from_intrinsics(k), cano_grid)
+        except (InvalidIntrinsicsError, DegenerateFieldError):
+            # a focal length at 0 or inf, or a ray or residual component out of float64
             return math.inf, None, None
         # the depths were just tested finite and positive
         depth = _made(DepthMap, values=np.where(valid, depths, 0.0), valid=valid)
-        res, _ = extract_residual(field_from_intrinsics(k), cano_grid)
         lv = total_loss(depth, gt_depth, res, cano_grid, gt_field, weights)
 
         grad_log_depth = lv.gradients["depth"] * depth.values
@@ -171,8 +172,8 @@ def _full_gt_objective(
             [
                 -float((gx * res.x[keep_x]).sum()),
                 -float((gy * res.y[keep_y]).sum()),
-                -float((gx / (k.fx * cano_grid.x[keep_x])).sum()),
-                -float((gy / (k.fy * cano_grid.y[keep_y])).sum()),
+                -float((gx / (k.fx * cano_x)).sum()),
+                -float((gy / (k.fy * cano_y)).sum()),
             ]
         )
         return lv.value, grad_log_depth, grad_theta
@@ -197,6 +198,10 @@ def refine_joint(
     monotonically non-increasing. Stops at max_steps, at a stationary point,
     when the line search fails, or when the achieved decrease drops below
     cfg.tol.
+
+    Every evaluation passes ``total_loss`` the same ``gt_depth``, ``gt_field``
+    and canonical field, and a prediction on ``gt_depth``'s own mask, so the
+    ground truth's terms are computed once per run (see ``losses``).
     """
     if init.log_depth.shape != gt_depth.values.shape:
         raise ShapeMismatchError(

@@ -791,6 +791,29 @@ class TestIntrinsicsMatchDepthMap:
         assert "4000x3000" in err and "16x12" in err
 
 
+class TestDepthMapsMatch:
+    """The two depth maps of `eval` and of `refine` must be of one size; a
+    mismatch is an input error naming both files and both sizes, found
+    before anything is computed or written."""
+
+    @pytest.mark.parametrize("command", ["eval", "refine"])
+    def test_mismatched_maps_exit_one_naming_both_files(self, tmp_path, capsys, command):
+        first, second = str(tmp_path / "a.pfm"), str(tmp_path / "b.pfm")
+        fileio.write_depth_pfm(first, DepthMap(np.full((6, 1), 2.0), np.ones((6, 1), bool)))
+        fileio.write_depth_pfm(second, DepthMap(np.full((4, 5), 2.0), np.ones((4, 5), bool)))
+        kpath = str(tmp_path / "k.json")
+        fileio.write_intrinsics(kpath, Intrinsics(5.0, 5.0, 2.5, 2.0, 5, 4))
+        argv = {
+            "eval": ["eval", first, second, "--out", str(tmp_path / "m.json")],
+            "refine": ["refine", first, second, kpath, "--out-prefix", str(tmp_path / "r")],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: depth maps differ in size: {first} is 1x6, {second} is 5x4\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["a.pfm", "b.pfm", "k.json"]
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["metricshape", "metricshape.cli"])
     def test_python_dash_m_runs_the_cli(self, module, scene_file, tmp_path):

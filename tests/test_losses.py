@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 
 import metricshape.losses as losses
 from conftest import RICH_SCENE
-from metricshape.camera import _BLOCK_ENTRIES, DepthMap, Intrinsics, PointCloud
+from metricshape.camera import _BLOCK_ENTRIES, DepthMap, Intrinsics, PointCloud, _made
 from metricshape.errors import EmptyCloudError, EmptyOverlapError, ShapeMismatchError
 from metricshape.incidence import (
     CanonicalCamera,
     IncidenceField,
     canonical_field,
+    compose_residual,
     extract_residual,
     field_from_intrinsics,
+    unproject_with_field,
 )
 from metricshape.losses import (
     BRUTE_FORCE_LIMIT,
@@ -300,6 +302,50 @@ class TestMutualNearestBlocks:
             assert mine.dtype == ref.dtype and _bits(mine) == _bits(ref)
 
 
+class TestAllPairsLayout:
+    """The all-pairs pass reads coordinate-major copies of its inputs, so any
+    view of the same points (a column slice of a wider array, rows or columns
+    reversed) gives the bits of one whole matrix read by rows and by columns."""
+
+    @staticmethod
+    def views(rng, layout):
+        # coordinates on a 0.1 grid, with shared points: many exact ties
+        wide_p = np.round(rng.uniform(-1.0, 1.0, (150, 6)), 1)
+        wide_q = np.round(rng.uniform(-1.0, 1.0, (170, 6)), 1)
+        wide_q[:40] = wide_p[:40]
+        if layout == "column-slice":
+            return wide_p[:, 1:4], wide_q[:, 1:4]
+        if layout == "reversed-rows":
+            return wide_p[::-1, :3], wide_q[::-1, :3]
+        return wide_p[:, 2::-1], wide_q[:, 5:2:-1]
+
+    @pytest.mark.parametrize("layout", ["column-slice", "reversed-rows", "reversed-columns"])
+    def test_views_give_the_bits_of_one_matrix(self, layout):
+        pa, qa = self.views(np.random.default_rng(40), layout)
+        assert not (pa.flags.c_contiguous or qa.flags.c_contiguous)
+        d2 = _squared_distance_matrix(pa, qa)
+        # ties present both ways, so "the lowest index wins" is exercised
+        for m in (d2, d2.T):
+            assert np.any((m == m.min(axis=1, keepdims=True)).sum(axis=1) > 1)
+        expected = _row_nearest(d2) + _row_nearest(d2.T)
+        for mine, ref in zip(_mutual_nearest(pa, qa), expected, strict=True):
+            assert mine.dtype == ref.dtype and _bits(mine) == _bits(ref)
+
+    def test_overflowing_point_matches_index_zero_at_infinity(self):
+        rng = np.random.default_rng(41)
+        wide = rng.uniform(-1.0, 1.0, (30, 6))
+        wide[7, 1:4] = (1e200, -1e200, 1.0)
+        pa, qa = wide[::-1, 1:4], rng.uniform(-1.0, 1.0, (20, 3))[::-1]
+        with np.errstate(over="ignore"):
+            d2 = _squared_distance_matrix(pa, qa)
+            got = _mutual_nearest(pa, qa)
+        expected = _row_nearest(d2) + _row_nearest(d2.T)
+        for mine, ref in zip(got, expected, strict=True):
+            assert mine.dtype == ref.dtype and _bits(mine) == _bits(ref)
+        lost = len(pa) - 1 - 7
+        assert got[0][lost] == 0 and got[1][lost] == np.inf
+
+
 def _read_only(points):
     """Points as ``PointCloud`` keeps them: a read-only array owning its memory."""
     return PointCloud(points).points
@@ -504,3 +550,121 @@ class TestTotalLoss:
         lv = total_loss(self.gt_depth, self.gt_depth, res, self.cano, self.gt_field)
         assert len(calls) == 1
         assert lv.value == pytest.approx(0.0, abs=1e-12)
+
+
+def _fresh_total(pred, gt_depth, res, cano, gt_field, w):
+    """``total_loss`` rebuilt from the public losses on fresh copies of every
+    input: alpha*silog + beta*cosine + gamma*chamfer, chained as it chains."""
+    gt_depth = DepthMap(gt_depth.values.copy(), gt_depth.valid.copy())
+    pred = DepthMap(pred.values.copy(), pred.valid.copy())
+    cano, gt_field = IncidenceField(cano.rays.copy()), IncidenceField(gt_field.rays.copy())
+    sil = silog_loss(pred, gt_depth, w.lam)
+    cos = cosine_incidence_loss(res, cano, gt_field)
+    composed = compose_residual(res, cano)
+    cham = chamfer_distance(
+        unproject_with_field(composed, pred), unproject_with_field(gt_field, gt_depth)
+    )
+    value = w.alpha * sil.value + w.beta * cos.value
+    value += w.gamma * cham.value
+    m, gp = pred.valid, w.gamma * cham.gradients["points_p"]
+    d = pred.values[m]
+    grad_depth = w.alpha * sil.gradients["depth"]
+    grad_depth[m] += gp[:, 0] * composed.x[m] + gp[:, 1] * composed.y[m] + gp[:, 2]
+    grad_field = w.beta * cos.gradients["field"]
+    grad_field[..., 0][m] += gp[:, 0] * d * cano.x[m]
+    grad_field[..., 1][m] += gp[:, 1] * d * cano.y[m]
+    return float(value), grad_depth, grad_field
+
+
+class TestKeptTarget:
+    """``total_loss`` keeps the ground truth's terms for the last target; every
+    call, first or repeated, on a kept or a rebuilt target, has the bits of the
+    public losses on fresh objects."""
+
+    W = LossWeights(alpha=1.5, beta=10.0, gamma=2.0, lam=0.5)
+
+    @pytest.fixture(autouse=True)
+    def no_kept_target(self, monkeypatch):
+        monkeypatch.setattr(losses, "_kept_target", None)
+
+    @staticmethod
+    def target(seed, w=9, h=7):
+        rng = np.random.default_rng(seed)
+        valid = rng.uniform(size=(h, w)) > 0.2
+        depth = DepthMap(np.where(valid, rng.uniform(1.0, 3.0, (h, w)), 0.0), valid)
+        k = Intrinsics(rng.uniform(8, 12), rng.uniform(8, 12), rng.uniform(3, 5), rng.uniform(2, 4), w, h)
+        cano = canonical_field(CanonicalCamera.for_image(w, h), w, h)
+        return depth, field_from_intrinsics(k), cano
+
+    @staticmethod
+    def prediction(seed, depth, cano, mask=None):
+        """A prediction on ``mask`` (the target's own mask object by default)."""
+        rng = np.random.default_rng(seed)
+        valid = depth.valid if mask is None else mask
+        values = np.where(valid, depth.values * rng.uniform(0.8, 1.2, depth.values.shape), 0.0)
+        values[valid & (values == 0.0)] = 2.0
+        pred = DepthMap(values, valid)
+        if mask is None:  # as refinement builds it: the target's mask, uncopied
+            pred = _made(DepthMap, values=pred.values, valid=depth.valid)
+        k = Intrinsics(rng.uniform(8, 12), rng.uniform(8, 12), cano.width / 2, cano.height / 2,
+                       cano.width, cano.height)
+        res, _ = extract_residual(field_from_intrinsics(k), cano)
+        return pred, res
+
+    def assert_fresh_bits(self, pred, res, depth, field, cano):
+        lv = total_loss(pred, depth, res, cano, field, self.W)
+        value, grad_depth, grad_field = _fresh_total(pred, depth, res, cano, field, self.W)
+        assert lv.value.hex() == value.hex()
+        assert _bits(lv.gradients["depth"]) == _bits(grad_depth)
+        assert _bits(lv.gradients["field"]) == _bits(grad_field)
+
+    def test_first_call_and_repeat(self):
+        depth, field, cano = self.target(50)
+        pred, res = self.prediction(51, depth, cano)
+        assert pred.valid is depth.valid
+        self.assert_fresh_bits(pred, res, depth, field, cano)
+        kept = losses._kept_target
+        assert kept is not None and kept.serves(depth, field, cano)
+        for seed in (52, 53):
+            pred, res = self.prediction(seed, depth, cano)
+            self.assert_fresh_bits(pred, res, depth, field, cano)
+            assert losses._kept_target is kept
+
+    def test_another_target_and_back(self):
+        a, b = self.target(60), self.target(61)
+        for depth, field, cano in (a, b, a):
+            pred, res = self.prediction(62, depth, cano)
+            self.assert_fresh_bits(pred, res, depth, field, cano)
+            assert losses._kept_target.serves(depth, field, cano)
+
+    @pytest.mark.parametrize("same_content", [True, False])
+    def test_prediction_mask_of_its_own(self, same_content):
+        depth, field, cano = self.target(70)
+        mask = depth.valid.copy()
+        if not same_content:
+            mask[0, :3] = ~mask[0, :3]
+            mask[0, 0] = True  # keep the joint overlap non-empty
+        pred, res = self.prediction(71, depth, cano, mask)
+        assert pred.valid is not depth.valid
+        self.assert_fresh_bits(pred, res, depth, field, cano)
+        # and a kept target still serves the target's own mask afterwards
+        pred, res = self.prediction(72, depth, cano)
+        self.assert_fresh_bits(pred, res, depth, field, cano)
+
+    @pytest.mark.parametrize("which", ["depth", "valid", "field", "cano"])
+    def test_array_set_writeable_and_changed_is_not_reused(self, which):
+        depth, field, cano = self.target(80)
+        pred, res = self.prediction(81, depth, cano)
+        self.assert_fresh_bits(pred, res, depth, field, cano)
+        kept = losses._kept_target
+        array = {"depth": depth.values, "valid": depth.valid, "field": field.rays,
+                 "cano": cano.rays}[which]
+        array.setflags(write=True)
+        if which == "depth":
+            array[depth.valid] *= 1.25
+        elif which == "valid":
+            array[0, 0] = False
+        else:  # x and y only: the fields stay in z=1 form
+            array[..., :2] *= 1.1
+        self.assert_fresh_bits(pred, res, depth, field, cano)
+        assert losses._kept_target is not kept

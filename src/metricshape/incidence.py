@@ -21,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import DepthMap, Intrinsics, PointCloud, _freeze, _made, focal_from_fov
-from .errors import (
-    DegenerateFieldError, InvalidDepthError, InvalidIntrinsicsError, ShapeMismatchError,
-)
+from .camera import DepthMap, Intrinsics, PointCloud, _freeze, focal_from_fov
+from .errors import DegenerateFieldError, InvalidIntrinsicsError, ShapeMismatchError
 
 # FoV of the canonical prior camera on the longer image side, in degrees:
 # comfortably inside the 40-120 degree range of ordinary cameras; results
@@ -92,19 +90,12 @@ class CanonicalCamera:
 
 
 def _field(x: np.ndarray, y: np.ndarray) -> IncidenceField:
-    """The z=1 field of float64 components x and y, broadcast.
-
-    Checked as ``IncidenceField`` checks, with its error, but on x and y
-    alone: the grid is laid out here, so its shape and z are right by
-    construction and it is not copied again.
-    """
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise DegenerateFieldError("ray components must be finite")
+    """The z=1 field of components x and y, broadcast."""
     rays = np.empty(np.broadcast_shapes(x.shape, y.shape) + (3,))
     rays[..., 0] = x
     rays[..., 1] = y
     rays[..., 2] = 1.0
-    return _made(IncidenceField, rays=rays)
+    return IncidenceField(rays)
 
 
 def _require_same_shape(a: IncidenceField, b: IncidenceField) -> None:
@@ -234,8 +225,4 @@ def unproject_with_field(field: IncidenceField, depth: DepthMap) -> PointCloud:
     m = depth.valid
     x = field.x * d
     y = field.y * d
-    points = np.stack([x[m], y[m], d[m]], axis=1)
-    # PointCloud's check and error, without its copy
-    if not np.isfinite(points).all():
-        raise InvalidDepthError("point coordinates must be finite")
-    return _made(PointCloud, points=points)
+    return PointCloud(np.stack([x[m], y[m], d[m]], axis=1))

@@ -155,7 +155,8 @@ def _full_gt_objective(
             k = Intrinsics(fx, fy, float(theta[2]), float(theta[3]), w, h)
             res, _ = extract_residual(field_from_intrinsics(k), cano_grid)
         except (InvalidIntrinsicsError, DegenerateFieldError):
-            # a focal length at 0 or inf, or a ray or residual component out of float64
+            # a focal length at 0 or inf, a non-finite theta, or a ray or residual
+            # component out of float64
             return math.inf, None, None
         # the depths were just tested finite and positive
         depth = _made(DepthMap, values=np.where(valid, depths, 0.0), valid=valid)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, astuple
 
 from . import fileio
 from .camera import DepthMap, Intrinsics
 from .errors import (
-    DegenerateConstraintsError, DocumentError, InfeasibleConstraintError, MetricShapeError,
+    DegenerateConstraintsError, DegenerateSceneError, DocumentError, EmptyOverlapError,
+    InfeasibleConstraintError, InvalidSettingError, MetricShapeError, ShapeMismatchError,
 )
 from .incidence import (
     CANONICAL_FOV_DEG,
@@ -35,6 +37,17 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DEGENERATE = 2
 EXIT_NO_CONVERGENCE = 3
+
+
+@contextmanager
+def _naming(where: str, *kinds: type[MetricShapeError]):
+    """Lead each package error of ``kinds`` (default: any) raised inside with
+    ``where``, the options or files its input came from. The error keeps its
+    class, and so its exit code."""
+    try:
+        yield
+    except kinds or MetricShapeError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _read_intrinsics_for(path: str, depth: DepthMap) -> Intrinsics:
@@ -73,14 +86,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     init = None  # the library's start
     if "init_fov" in args:
         init = canonical_params(depth.width, depth.height, fov_deg=args.init_fov)
-    try:
+    with _naming(args.constraints, InfeasibleConstraintError):
         if len(constraints) == 4:
             report = solve_minimal(constraints, depth.width, depth.height, init=init)
         else:
             loss = "huber" if args.robust else "squared"
             report = solve_overdetermined(constraints, depth.width, depth.height, init=init, loss=loss)
-    except InfeasibleConstraintError as exc:
-        raise InfeasibleConstraintError(f"{args.constraints}: {exc}") from exc
     if args.out:
         fileio.write_intrinsics(args.out, report.intrinsics)
     doc = {
@@ -103,7 +114,8 @@ def _cmd_unproject(args: argparse.Namespace) -> int:
         field = field_from_intrinsics(_read_intrinsics_for(args.intrinsics, depth))
     else:
         field = fileio.read_field_pfm(args.field)
-    cloud = unproject_with_field(field, depth)
+    with _naming(args.field or args.intrinsics, ShapeMismatchError):
+        cloud = unproject_with_field(field, depth)
     fileio.write_ply(args.out, cloud, binary=args.binary)
     return EXIT_OK
 
@@ -112,7 +124,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if (args.pred_intrinsics is None) != (args.gt_intrinsics is None):
         raise DocumentError("--pred-intrinsics and --gt-intrinsics must be given together")
     pred, gt = _read_depth_pair(args.pred_depth, args.gt_depth)
-    dm = depth_metrics(pred, gt, cap=args.cap)
+    with (
+        _naming(f"{args.pred_depth}, {args.gt_depth}", EmptyOverlapError),
+        _naming("--cap", InvalidSettingError),
+    ):
+        dm = depth_metrics(pred, gt, cap=args.cap)
     doc = {"depth": asdict(dm)}
     if args.pred_intrinsics is not None:
         kp = _read_intrinsics_for(args.pred_intrinsics, pred)
@@ -121,7 +137,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         doc["fov"] = {"mean": fov.mean, "median": fov.median}
         cloud_pred = unproject_with_field(field_from_intrinsics(kp), pred)
         cloud_gt = unproject_with_field(field_from_intrinsics(kg), gt)
-        shape = shape_metrics(cloud_pred, cloud_gt, thresholds=args.f1_thresholds)
+        with _naming("--f1-thresholds", InvalidSettingError):
+            shape = shape_metrics(cloud_pred, cloud_gt, thresholds=args.f1_thresholds)
         doc["shape"] = {
             "f1": {str(tau): score for tau, score in shape.f1.items()},
             "chamfer": shape.chamfer,
@@ -132,22 +149,26 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     scene = fileio.read_scene(args.scene)
-    noise = NoiseSpec(distance_sigma_rel=args.noise, seed=args.seed)
+    with _naming("--noise, --seed"):
+        noise = NoiseSpec(distance_sigma_rel=args.noise, seed=args.seed)
     try:
         seed = int(args.camera)
     except ValueError:
         seed = None
     if seed is not None:
-        k = make_camera(seed, args.width, args.height, **_given(args, "center_jitter"))
+        with _naming("--camera, --width, --height, --center-jitter"):
+            k = make_camera(seed, args.width, args.height, **_given(args, "center_jitter"))
     else:
         k = fileio.read_intrinsics(args.camera)
-    depth = render_depth(scene, k)
+    with _naming(args.scene, DegenerateSceneError):
+        depth = render_depth(scene, k)
     constraints = None
     if args.constraints != 0:
-        constraints = sample_constraints(
-            depth, k, args.constraints, rng_seed=args.seed,
-            min_depth_ratio=args.min_depth_ratio,
-        )
+        with _naming("--constraints, --min-depth-ratio"):
+            constraints = sample_constraints(
+                depth, k, args.constraints, rng_seed=args.seed,
+                min_depth_ratio=args.min_depth_ratio,
+            )
         constraints, _ = perturb(constraints, depth, noise)
 
     fileio.write_depth_pfm(f"{args.out_prefix}_depth.pfm", depth)
@@ -160,12 +181,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_refine(args: argparse.Namespace) -> int:
     init_depth, gt_depth = _read_depth_pair(args.depth, args.gt_depth)
     gt_k = _read_intrinsics_for(args.gt_intrinsics, gt_depth)
-    cano = CanonicalCamera.for_image(gt_depth.width, gt_depth.height, fov_deg=args.init_fov)
+    with _naming("--init-fov"):
+        cano = CanonicalCamera.for_image(gt_depth.width, gt_depth.height, fov_deg=args.init_fov)
     state = RefineState.from_maps(init_depth, cano.intrinsics(gt_depth.width, gt_depth.height))
-    cfg = RefineConfig(
-        weights=LossWeights(*args.weights), depth_lr=args.lr_depth, theta_lr=args.lr_theta,
-        max_steps=args.steps,
-    )
+    with _naming("--weights"):
+        weights = LossWeights(*args.weights)
+    with _naming("--lr-depth, --lr-theta, --steps"):
+        cfg = RefineConfig(
+            weights=weights, depth_lr=args.lr_depth, theta_lr=args.lr_theta, max_steps=args.steps
+        )
     final, trace = refine_joint(state, gt_depth, field_from_intrinsics(gt_k), cano, cfg)
 
     fileio.write_depth_pfm(f"{args.out_prefix}_depth.pfm", final.to_depth_map(init_depth.valid))

@@ -14,6 +14,7 @@ from conftest import RICH_SCENE
 from metricshape import errors, fileio
 from metricshape.camera import DepthMap, Intrinsics
 from metricshape.cli import main
+from metricshape.incidence import IncidenceField
 from metricshape.metrics import depth_metrics
 from metricshape.synthetic import (
     NoiseSpec, Plane, SceneSpec, Sphere, make_camera, perturb, render_depth, sample_constraints,
@@ -518,7 +519,7 @@ class TestEval:
         depth = str(tmp_path / "d.pfm")
         fileio.write_depth_pfm(depth, DepthMap(np.ones((2, 2)), np.ones((2, 2), bool)))
         assert main(["eval", depth, depth, "--cap", "nan"]) == 1
-        assert capsys.readouterr().err == "error: cap must be positive, got nan\n"
+        assert capsys.readouterr().err == "error: --cap: cap must be positive, got nan\n"
 
     def test_intrinsics_pair_is_checked_before_the_maps_are_read(
         self, scene_file, tmp_path, capsys
@@ -812,6 +813,66 @@ class TestDepthMapsMatch:
             f"error: depth maps differ in size: {first} is 1x6, {second} is 5x4\n"
         )
         assert sorted(os.listdir(tmp_path)) == ["a.pfm", "b.pfm", "k.json"]
+
+
+class TestExitOneNamesItsInput:
+    """An input error from a setting or a document the library rejects is led
+    by the option or the file it came from, and keeps its exit code."""
+
+    @pytest.fixture
+    def maps(self, tmp_path):
+        depth, kpath = str(tmp_path / "d.pfm"), str(tmp_path / "k.json")
+        fileio.write_depth_pfm(depth, DepthMap(np.full((6, 6), 2.0), np.ones((6, 6), bool)))
+        fileio.write_intrinsics(kpath, Intrinsics(5.0, 5.0, 3.0, 3.0, 6, 6))
+        return depth, kpath
+
+    @pytest.mark.parametrize("flags, lead", [
+        (["--lr-depth=-1"], "--lr-depth, --lr-theta, --steps: learning rates"),
+        (["--steps=-1"], "--lr-depth, --lr-theta, --steps: max_steps"),
+        (["--weights", "1", "1", "1", "2"], "--weights: lam"),
+        (["--init-fov=200"], "--init-fov: "),
+    ])
+    def test_refine_settings(self, maps, tmp_path, capsys, flags, lead):
+        depth, kpath = maps
+        argv = ["refine", depth, depth, kpath, "--out-prefix", str(tmp_path / "r")] + flags
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {lead}")
+
+    def test_eval_overlap_names_both_maps(self, maps, capsys):
+        depth, _ = maps
+        assert main(["eval", depth, depth, "--cap", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {depth}, {depth}: no jointly valid pixels (after capping)\n"
+        )
+
+    def test_unproject_field_of_another_size_names_the_field(self, maps, tmp_path, capsys):
+        depth, _ = maps
+        fpath = str(tmp_path / "f.pfm")
+        fileio.write_field_pfm(fpath, IncidenceField(np.ones((1, 1, 3))))
+        assert main(["unproject", depth, "--field", fpath, "--out", str(tmp_path / "c.ply")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {fpath}: ")
+
+    @pytest.mark.parametrize("flags, lead", [
+        (["--constraints", "500"], "--constraints, --min-depth-ratio: need at least 1000"),
+        (["--min-depth-ratio", "0.5"], "--constraints, --min-depth-ratio: min_depth_ratio"),
+        (["--noise", "nan"], "--noise, --seed: distance_sigma_rel"),
+        (["--seed", "-1"], "--noise, --seed: seed"),
+    ])
+    def test_synth_settings(self, scene_file, tmp_path, capsys, flags, lead):
+        argv = ["synth", scene_file, "--camera", "7", "--width", "16", "--height", "12",
+                "--out-prefix", str(tmp_path / "s")] + flags
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {lead}")
+
+    def test_synth_camera_inside_a_primitive_names_the_scene(self, tmp_path, capsys):
+        scene = tmp_path / "inside.json"
+        scene.write_text(json.dumps(
+            {"primitives": [{"type": "sphere", "center": [0.0, 0.0, 0.5], "radius": 1.0}]}
+        ))
+        argv = ["synth", str(scene), "--camera", "7", "--width", "16", "--height", "12",
+                "--out-prefix", str(tmp_path / "s")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {scene}: camera origin lies inside")
 
 
 class TestModuleEntryPoints:

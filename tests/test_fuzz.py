@@ -1,7 +1,8 @@
 """Property tests of the exit-code contract: whatever the documents and
 settings hold, `synth`, `calibrate`, `unproject` and `eval` return 0, 1, 2
 or 3, raise nothing and warn nothing (a RuntimeWarning fails any test of
-the suite).
+the suite); a message that comes with exit code 1 names one of the files
+or options of its command line.
 
 Most documents are well formed, with each field sometimes replaced by an
 arbitrary JSON value, so the examples reach past the parsers into the
@@ -11,6 +12,8 @@ before an allocation still allocates little; that includes the camera
 documents `synth` renders at.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -153,7 +156,16 @@ def write(directory, name: str, data: bytes) -> str:
 
 
 def run(argv: list[str]) -> None:
-    assert main(argv) in (0, 1, 2, 3)
+    """The exit code is one of the contract's, and an exit-1 message names
+    one of the command line's files or options."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        named = [a.split("=", 1)[0] if a.startswith("--") else a for a in argv[1:]]
+        named = [a for a in named if a.startswith("--") or os.sep in a]
+        assert any(a in err.getvalue() for a in named), (argv, err.getvalue())
 
 
 @FUZZ

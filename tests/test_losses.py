@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import metricshape.losses as losses
 from conftest import RICH_SCENE
-from metricshape.camera import _BLOCK_ENTRIES, DepthMap, Intrinsics, PointCloud, _made
+from metricshape.camera import (
+    _BLOCK_ENTRIES, DepthMap, Intrinsics, PointCloud, _made, focal_from_fov,
+)
 from metricshape.errors import EmptyCloudError, EmptyOverlapError, ShapeMismatchError
 from metricshape.incidence import (
     CanonicalCamera,
@@ -279,14 +281,15 @@ class TestAllPairsNearestProperty:
         assert _bits(lv.gradients["points_q"]) == _bits(grad_q)
 
 
-# rows per block at BRUTE_FORCE_LIMIT points a side, and the sizes around it
+# sizes around the row block the all-pairs pass once used at BRUTE_FORCE_LIMIT
+# points a side (32 rows), and around the limit
 _BLOCK = _BLOCK_ENTRIES // BRUTE_FORCE_LIMIT
 _BLOCK_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, BRUTE_FORCE_LIMIT - 1, BRUTE_FORCE_LIMIT)
 
 
 class TestMutualNearestBlocks:
-    """The all-pairs pass, walked in blocks of rows, equals one whole matrix
-    read by rows and by columns, ties on the lowest index included."""
+    """The screened all-pairs pass, both ways, equals one whole matrix read by
+    rows and by columns, ties on the lowest index included."""
 
     @pytest.mark.parametrize("m", _BLOCK_SIZES)
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
@@ -303,9 +306,10 @@ class TestMutualNearestBlocks:
 
 
 class TestAllPairsLayout:
-    """The all-pairs pass reads coordinate-major copies of its inputs, so any
-    view of the same points (a column slice of a wider array, rows or columns
-    reversed) gives the bits of one whole matrix read by rows and by columns."""
+    """The all-pairs pass takes its inputs as they are laid out, uncopied, so
+    any view of the same points (a column slice of a wider array, rows or
+    columns reversed) must give the bits of one whole matrix read by rows and
+    by columns."""
 
     @staticmethod
     def views(rng, layout):
@@ -344,6 +348,176 @@ class TestAllPairsLayout:
             assert mine.dtype == ref.dtype and _bits(mine) == _bits(ref)
         lost = len(pa) - 1 - 7
         assert got[0][lost] == 0 and got[1][lost] == np.inf
+
+
+def _exact_both_ways(pa, qa):
+    """The arbiter: ``_row_nearest`` of the whole exact matrix, each way."""
+    with np.errstate(over="ignore"):
+        return (_row_nearest(_squared_distance_matrix(pa, qa))
+                + _row_nearest(_squared_distance_matrix(qa, pa)))
+
+
+def _exact_rows(monkeypatch):
+    """A counter of the query rows that reach the exact all-pairs matrix."""
+    seen = [0]
+    exact = losses._squared_distance_matrix
+
+    def counted(query, reference):
+        seen[0] += len(query)
+        return exact(query, reference)
+
+    monkeypatch.setattr(losses, "_squared_distance_matrix", counted)
+    return seen
+
+
+class TestAllPairsScreen:
+    """Each direction is screened by one matrix product and settled by the exact
+    pair arithmetic: the bits must be the arbiter's, both ways, on clouds built
+    to defeat the screen, and in blocks of any size."""
+
+    @staticmethod
+    def check(pa, qa):
+        with np.errstate(over="ignore"):
+            got = _mutual_nearest(pa, qa)
+        for mine, ref in zip(got, _exact_both_ways(pa, qa), strict=True):
+            assert mine.dtype == ref.dtype and _bits(mine) == _bits(ref)
+        return got
+
+    @pytest.mark.parametrize("offset, spread", [(1e4, 1e-3), (1e2, 1e-5), (1e6, 1e-1)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_clouds_far_from_the_origin(self, monkeypatch, offset, spread, seed):
+        """Gaps between neighbours near the margin (at offset 1e4 and spread
+        1e-3, 64u(2e4)^2 = 2.8e-6), so a share of the rows goes to the exact
+        path; a margin of u/2 instead of 64u gives wrong bits here."""
+        rng = np.random.default_rng([50, seed])
+        pa = offset + rng.uniform(0.0, spread, (300, 3))
+        qa = offset + rng.uniform(0.0, spread, (200, 3))
+        qa[:20] = pa[:20]
+        exact = _exact_rows(monkeypatch)
+        self.check(pa, qa)
+        assert exact[0] > 0.1 * (len(pa) + len(qa))
+
+    @pytest.mark.parametrize("step", [1.0, 0.5, 0.1])
+    def test_integer_grids_with_exact_ties(self, step):
+        rng = np.random.default_rng(51)
+        pa = rng.integers(-3, 4, (400, 3)) * step
+        qa = rng.integers(-3, 4, (350, 3)) * step + step / 2
+        d2 = _squared_distance_matrix(pa, qa)
+        for m in (d2, d2.T):
+            assert np.any((m == m.min(axis=1, keepdims=True)).sum(axis=1) > 1)
+        self.check(pa, qa)
+
+    @pytest.mark.parametrize("sign", [(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (-1.0, -1.0, -1.0)])
+    def test_duplicated_and_mirrored_points(self, sign):
+        rng = np.random.default_rng(52)
+        pa = rng.integers(-5, 6, (300, 3)) * 0.25
+        pa[150:] = pa[:150]
+        qa = np.concatenate([pa[:100] * sign, pa[rng.integers(0, 300, 100)], -pa[:50]])
+        self.check(pa, qa)
+
+    @pytest.mark.parametrize("top", [150, 200])
+    def test_coordinates_of_mixed_magnitude(self, monkeypatch, top):
+        """Magnitudes from 1e-200 to 1e150, where the screen runs, and to 1e200,
+        where a squared norm passes 2**1000 and every row is exact."""
+        rng = np.random.default_rng([53, top])
+        pa, qa = (rng.choice([-1.0, 1.0], (k, 3)) * 10.0 ** rng.uniform(-200, top, (k, 3))
+                  for k in (250, 230))
+        qa[:30] = pa[:30]
+        exact = _exact_rows(monkeypatch)
+        self.check(pa, qa)
+        if top == 200:
+            assert exact[0] == len(pa) + len(qa)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_clouds_whose_squares_are_subnormal(self, seed):
+        """Within about 2**-530 of the origin the products round to multiples
+        of the least subnormal: 64u r^2 alone is no margin there, the floor of
+        the smallest normal double is."""
+        rng = np.random.default_rng([58, seed])
+        self.check(rng.normal(size=(60, 3)) * 2.0**-535, rng.normal(size=(50, 3)) * 2.0**-535)
+
+    @pytest.mark.parametrize("coordinate", [2.0**500, -(2.0**500), 2.0**510])
+    def test_one_huge_coordinate_sends_every_row_to_the_exact_path(self, monkeypatch, coordinate):
+        rng = np.random.default_rng(54)
+        pa, qa = rng.uniform(-1.0, 1.0, (120, 3)), rng.uniform(-1.0, 1.0, (90, 3))
+        qa[45, 2] = coordinate
+        exact = _exact_rows(monkeypatch)
+        got = self.check(pa, qa)
+        assert exact[0] == len(pa) + len(qa)
+        assert got[3][45] == pytest.approx(coordinate**2)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 37), (37, 1), (1, BRUTE_FORCE_LIMIT),
+                                      (BRUTE_FORCE_LIMIT, 1),
+                                      (BRUTE_FORCE_LIMIT, BRUTE_FORCE_LIMIT)])
+    @pytest.mark.parametrize("kind", ["plain", "dup"])
+    def test_one_point_and_the_limit_a_side(self, n, m, kind):
+        rng = np.random.default_rng([55, n, m])
+        pa, qa = _cloud(rng, n, kind), _cloud(rng, m, kind)
+        self.check(pa, qa)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 99, 169, 170, 171, 200])
+    @pytest.mark.parametrize("far", [False, True])
+    def test_blocks_of_any_size(self, monkeypatch, rows, far):
+        """Blocks of ``rows`` query rows (P->Q; Q->P takes more) for the screen
+        and, far from the origin, for the exact path."""
+        rng = np.random.default_rng(56)
+        pa, qa = _cloud(rng, 200, "dup"), _cloud(rng, 170, "dup")
+        qa[:60] = pa[:60]
+        if far:
+            pa, qa = 1e4 + pa * 1e-3, 1e4 + qa * 1e-3
+        monkeypatch.setattr(losses, "_SCREEN_ENTRIES", rows * len(qa))
+        self.check(pa, qa)
+
+    def test_criterion_8_clouds_are_settled_by_the_screen(self, monkeypatch):
+        """On the 16x12 refinements of acceptance criterion 8 (20 scenes, four
+        starts, a few steps each) the exact path takes under 5 % of rows, so
+        the screen is what decides them."""
+        from test_acceptance import _demo_scene
+
+        exact = _exact_rows(monkeypatch)
+        rows = [0]
+        mutual = losses._mutual_nearest
+
+        def counted(pa, qa):
+            rows[0] += len(pa) + len(qa)
+            return mutual(pa, qa)
+
+        monkeypatch.setattr(losses, "_mutual_nearest", counted)
+        w, h = 16, 12
+        k = Intrinsics(fx=focal_from_fov(65.0, w), fy=focal_from_fov(65.0, h),
+                       cx=w / 2, cy=h / 2, width=w, height=h)
+        for i in range(20):
+            depth = render_depth(_demo_scene(i), k)
+            field = field_from_intrinsics(k)
+            for fov in (45.0, 60.0, 75.0, 90.0):
+                cano = CanonicalCamera.for_image(w, h, fov_deg=fov)
+                init = RefineState.from_maps(depth, cano.intrinsics(w, h))
+                refine_joint(init, depth, field, cano, RefineConfig(max_steps=3))
+        assert rows[0] > 80 * 2 * w * h
+        assert exact[0] < 0.05 * rows[0]
+
+    @pytest.mark.parametrize("case", ["2**500", "2**510 offset", "1e154 offset", "1e-200"])
+    def test_huge_and_tiny_coordinates_warn_nothing(self, case):
+        """Under the default np.errstate the screen adds no floating-point
+        warning where the exact arithmetic has none: a squared norm that
+        overflows only sends every row to the exact path."""
+        rng = np.random.default_rng(57)
+        pa, qa = rng.uniform(-1.0, 1.0, (80, 3)), rng.uniform(-1.0, 1.0, (60, 3))
+        if case == "2**500":
+            pa[3, 0] = 2.0**500
+        elif case == "2**510 offset":
+            pa, qa = 2.0**510 + pa * 2.0**480, 2.0**510 + qa * 2.0**480
+        elif case == "1e154 offset":
+            pa, qa = 1e154 + pa * 1e140, 1e154 + qa * 1e140
+        else:
+            pa, qa = pa * 1e-200, qa * 1e-200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _mutual_nearest(pa, qa)
+            expected = (_row_nearest(_squared_distance_matrix(pa, qa))
+                        + _row_nearest(_squared_distance_matrix(qa, pa)))
+        for mine, ref in zip(got, expected, strict=True):
+            assert _bits(mine) == _bits(ref)
 
 
 def _read_only(points):

@@ -13,7 +13,8 @@ and on x and y alone, since every field has z = 1.
 
 ``total_loss`` keeps the ground truth's side of the objective (the log
 target depths, the target's ray norms and unit rays, the canonical
-components at the target's mask and the target cloud) for the last target,
+components at the target's mask, the target cloud and, above
+``BRUTE_FORCE_LIMIT``, that cloud's k-d tree) for the last target,
 and reuses it while it gets the same target objects with read-only arrays:
 a refine passes the same ground truth to every evaluation, so each
 evaluation computes only the prediction's side. Kept terms are the terms
@@ -41,10 +42,10 @@ takes that exact path (an overflowing row matches index 0 at infinity). The
 outputs are thus those of ``_row_nearest(_squared_distance_matrix(query,
 reference))``, bit for bit.
 
-Above ``BRUTE_FORCE_LIMIT`` points a side the NN search uses k-d trees. The
-tree of the last target cloud is kept and reused while the target's content
-is unchanged (a refine's ground truth), and the two query directions run
-side by side: prediction->target on one worker thread, created on first
+Above ``BRUTE_FORCE_LIMIT`` points a side the NN search uses k-d trees: the
+kept target cloud's own (``_Target.tree``, built at a refine's first
+evaluation), or a fresh one for any other cloud. The two query directions
+run side by side: prediction->target on one worker thread, created on first
 use, while the calling thread builds the prediction's tree and runs
 target->prediction. The worker only queries (``cKDTree.query`` releases the
 GIL); the trees and all arithmetic stay on the calling thread,
@@ -80,8 +81,7 @@ _SCREEN_MARGIN = 2.0**-47
 _SCREEN_FLOOR = 2.0**-1022
 _SCREEN_NORM_LIMIT = 2.0**1000
 
-# The k-d path's last target tree, and its one query worker (module docstring).
-_target_tree = None
+# The k-d path's one query worker (module docstring).
 _nn_worker = None
 
 
@@ -228,12 +228,16 @@ def _row_nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, d2[np.arange(len(d2)), idx]
 
 
-def _nearest_squared(query: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of and squared distance to each query point's nearest reference, by k-d tree."""
+def _kd_tree(points: np.ndarray):
     # imported here so that commands without an NN search never load scipy
     from scipy.spatial import cKDTree
 
-    return _matched_squared(query, reference, cKDTree(reference).query(query)[1])
+    return cKDTree(points)
+
+
+def _nearest_squared(query: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of and squared distance to each query point's nearest reference, by k-d tree."""
+    return _matched_squared(query, reference, _kd_tree(reference).query(query)[1])
 
 
 def _matched_squared(
@@ -255,23 +259,6 @@ def _matched_squared(
     d2 = (diff * diff).sum(axis=1)
     d2[lost] = np.inf
     return idx, d2
-
-
-def _target_tree_of(qa: np.ndarray):
-    """A k-d tree of ``qa``: the kept one while its points equal ``qa``.
-
-    A tree holds its points uncopied, so it is kept only for a read-only
-    array that owns its memory (such as ``PointCloud.points``): nothing can
-    then change a kept tree's points behind its back.
-    """
-    global _target_tree
-    from scipy.spatial import cKDTree
-
-    tree = _target_tree
-    if tree is None or not np.array_equal(tree.data, qa):
-        tree = cKDTree(qa)
-        _target_tree = tree if not qa.flags.writeable and qa.flags.owndata else None
-    return tree
 
 
 def _all_pairs_nearest(
@@ -336,8 +323,9 @@ def _mutual_nearest(
     exact all-pairs arithmetic decides every other row. The bits are those
     of ``_row_nearest(_squared_distance_matrix(query, reference))`` each way,
     ties on the lowest index. Above the limit, one k-d tree query per
-    direction, the two at once: P->Q against the target's (kept) tree on the
-    worker, Q->P here.
+    direction, the two at once: P->Q on the worker, Q->P here. P->Q queries
+    the kept target's tree if ``qa`` is its cloud's own array (by identity:
+    the package made it read-only and hands it to no caller), else a fresh one.
     """
     global _nn_worker
     if max(len(pa), len(qa)) > BRUTE_FORCE_LIMIT:
@@ -346,7 +334,9 @@ def _mutual_nearest(
             from concurrent.futures import ThreadPoolExecutor
 
             _nn_worker = ThreadPoolExecutor(1, thread_name_prefix="metricshape-nn")
-        pending = _nn_worker.submit(_target_tree_of(qa).query, pa)
+        kept = _kept_target  # its cloud is looked at only if already made
+        own = kept is not None and "cloud" in vars(kept) and qa is kept.cloud.points
+        pending = _nn_worker.submit((kept.tree if own else _kd_tree(qa)).query, pa)
         try:
             qp = _nearest_squared(qa, pa)
         finally:  # the worker is idle again whenever this returns or raises
@@ -393,7 +383,7 @@ class _Target:
     field, so it is kept for the last target (``_kept_target``) and reused
     while ``total_loss`` gets the same three objects and their arrays are
     still read-only, as the package's own values' arrays are. An array set
-    writeable makes the next call build a new one.
+    writeable makes the next call build a new one, with a new cloud and tree.
     """
 
     def __init__(self, depth: DepthMap, field: IncidenceField, cano: IncidenceField) -> None:
@@ -421,6 +411,12 @@ class _Target:
         return unproject_with_field(self.field, self.depth)
 
     @cached_property
+    def tree(self):
+        """The k-d tree of ``cloud``'s points. Only ``_mutual_nearest``'s k-d
+        branch asks for it, so scipy is never imported below the limit."""
+        return _kd_tree(self.cloud.points)
+
+    @cached_property
     def cano_at_mask(self) -> tuple[np.ndarray, np.ndarray]:
         """The canonical x and y at the target's valid pixels."""
         valid = self.depth.valid
@@ -446,11 +442,12 @@ def total_loss(
     predicted depth grid and the residual field.
 
     The ground truth's terms (its log depths, ray norms and unit rays, its
-    cloud and the canonical components at its mask) are kept for the last
-    target and reused while the same ``gt_depth``, ``gt_field`` and
-    ``cano_field`` come back with read-only arrays; the log depths and the
-    canonical components serve a prediction whose mask is ``gt_depth.valid``
-    itself (refinement's case). The bits are those of fresh terms.
+    cloud and that cloud's k-d tree, the canonical components at its mask)
+    are kept for the last target and reused while the same ``gt_depth``,
+    ``gt_field`` and ``cano_field`` come back with read-only arrays; the log
+    depths and the canonical components serve a prediction whose mask is
+    ``gt_depth.valid`` itself (refinement's case). The bits are those of
+    fresh terms.
     """
     global _kept_target
     target = _kept_target

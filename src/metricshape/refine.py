@@ -22,6 +22,7 @@ optimized as log-depth.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,10 +113,14 @@ class RefineConfig:
     tol: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.depth_lr > 0.0 and self.theta_lr > 0.0):
-            raise InvalidSettingError("learning rates must be positive")
-        if self.max_steps < 0:
-            raise InvalidSettingError(f"max_steps must be >= 0, got {self.max_steps}")
+        for name in ("depth_lr", "theta_lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidSettingError(f"{name} must be finite and positive, got {value}")
+        steps = self.max_steps
+        # range() takes an integer only; a bool is one to Python but not a step count
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
+            raise InvalidSettingError(f"max_steps must be a non-negative integer, got {steps}")
 
 
 @dataclass(frozen=True)

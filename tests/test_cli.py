@@ -827,8 +827,12 @@ class TestExitOneNamesItsInput:
         return depth, kpath
 
     @pytest.mark.parametrize("flags, lead", [
-        (["--lr-depth=-1"], "--lr-depth, --lr-theta, --steps: learning rates"),
-        (["--steps=-1"], "--lr-depth, --lr-theta, --steps: max_steps"),
+        (["--lr-depth=-1"],
+         "--lr-depth, --lr-theta, --steps: depth_lr must be finite and positive, got -1.0"),
+        (["--lr-theta=inf"],
+         "--lr-depth, --lr-theta, --steps: theta_lr must be finite and positive, got inf"),
+        (["--steps=-1"],
+         "--lr-depth, --lr-theta, --steps: max_steps must be a non-negative integer, got -1"),
         (["--weights", "1", "1", "1", "2"], "--weights: lam"),
         (["--init-fov=200"], "--init-fov: "),
     ])

@@ -19,17 +19,20 @@ import math
 import os
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from metricshape.cli import main
 
-# derandomize: every run draws the same examples, so a tier-1 result repeats
+# derandomize: every run draws the same examples, so a tier-1 result repeats;
+# no shrink phase: a failing example is reported as drawn, without the many
+# further CLI runs that shrinking it would take
 FUZZ = settings(
     max_examples=100,
     deadline=None,
     database=None,
     derandomize=True,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 

@@ -1,8 +1,11 @@
 """Loss values against hand computations; gradient checks live in acceptance."""
 
+import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -526,9 +529,9 @@ def _read_only(points):
 
 
 class TestKdTreeNearest:
-    """Above ``BRUTE_FORCE_LIMIT`` the target's tree is kept while its content is
-    unchanged, and the two query directions run on two threads; every output
-    has the bits of two fresh, one-after-the-other k-d tree passes."""
+    """Above ``BRUTE_FORCE_LIMIT`` the two query directions run on two threads;
+    every output has the bits of two fresh, one-after-the-other k-d tree
+    passes. (The kept target's tree: ``TestKeptTarget``.)"""
 
     N = BRUTE_FORCE_LIMIT + 100
 
@@ -539,51 +542,12 @@ class TestKdTreeNearest:
         for mine, ref in zip(got, expected, strict=True):
             assert mine.dtype == ref.dtype and _bits(mine) == _bits(ref)
 
-    def test_reused_tree_gives_fresh_bits_both_ways(self):
+    def test_caller_clouds_give_fresh_bits_both_ways(self):
         rng = np.random.default_rng(30)
         qa = _read_only(rng.uniform(-2, 2, (self.N, 3)))
-        _mutual_nearest(_read_only(rng.uniform(-2, 2, (self.N, 3))), qa)
-        kept = losses._target_tree
-        assert kept is not None
         for n in (self.N, 2 * self.N, 7):
             pa = _read_only(rng.uniform(-2, 2, (n, 3)))
             self.assert_bits(_mutual_nearest(pa, qa), self.fresh(pa, qa))
-            assert losses._target_tree is kept
-
-    def test_new_array_with_equal_content_reuses_the_tree(self):
-        rng = np.random.default_rng(31)
-        points = rng.uniform(-2, 2, (self.N, 3))
-        pa = _read_only(rng.uniform(-2, 2, (self.N, 3)))
-        _mutual_nearest(pa, _read_only(points))
-        kept = losses._target_tree
-        qa = _read_only(points.copy())
-        assert qa is not kept.data
-        self.assert_bits(_mutual_nearest(pa, qa), self.fresh(pa, qa))
-        assert losses._target_tree is kept
-
-    @pytest.mark.parametrize("where", [(0, 0), (17, 1), (-1, 2)])
-    def test_one_ulp_change_rebuilds_the_tree(self, where):
-        rng = np.random.default_rng(32)
-        points = rng.uniform(-2, 2, (self.N, 3))
-        pa = _read_only(rng.uniform(-2, 2, (self.N, 3)))
-        _mutual_nearest(pa, _read_only(points))
-        kept = losses._target_tree
-        points[where] = np.nextafter(points[where], np.inf)
-        qa = _read_only(points)
-        self.assert_bits(_mutual_nearest(pa, qa), self.fresh(pa, qa))
-        assert losses._target_tree is not kept
-        assert np.array_equal(losses._target_tree.data, qa)
-
-    def test_writeable_target_is_not_kept(self):
-        """A tree holds its points uncopied: one built on an array the caller
-        can still write to would go stale when the caller writes to it."""
-        rng = np.random.default_rng(33)
-        pa = rng.uniform(-2, 2, (self.N, 3))
-        qa = rng.uniform(-2, 2, (self.N, 3))
-        self.assert_bits(_mutual_nearest(pa, qa), self.fresh(pa, qa))
-        qa[:] = rng.uniform(-2, 2, (self.N, 3))
-        self.assert_bits(_mutual_nearest(pa, qa), self.fresh(pa, qa))
-        assert losses._target_tree is None
 
     def test_worker_exception_reaches_the_caller_unchanged(self, monkeypatch):
         class QueryFailed(Exception):
@@ -596,9 +560,12 @@ class TestKdTreeNearest:
                 ran_on.append(threading.current_thread())
                 raise QueryFailed("from the worker")
 
-        monkeypatch.setattr(losses, "_target_tree_of", lambda qa: FailingTree())
+        # a kept target whose cloud has a tree that fails: P->Q queries it on the worker
         rng = np.random.default_rng(34)
-        pa, qa = (_read_only(rng.uniform(-2, 2, (self.N, 3))) for _ in range(2))
+        target = losses._Target(None, None, None)
+        target.cloud, target.tree = PointCloud(rng.uniform(-2, 2, (self.N, 3))), FailingTree()
+        monkeypatch.setattr(losses, "_kept_target", target)
+        pa, qa = _read_only(rng.uniform(-2, 2, (self.N, 3))), target.cloud.points
         with pytest.raises(QueryFailed, match="^from the worker$"):
             _mutual_nearest(pa, qa)
         assert ran_on and ran_on[0] is not threading.current_thread()
@@ -756,6 +723,8 @@ class TestKeptTarget:
     public losses on fresh objects."""
 
     W = LossWeights(alpha=1.5, beta=10.0, gamma=2.0, lam=0.5)
+    # a target above BRUTE_FORCE_LIMIT: about 80 % of 32 x 24 pixels are valid
+    LARGE = (32, 24)
 
     @pytest.fixture(autouse=True)
     def no_kept_target(self, monkeypatch):
@@ -825,12 +794,17 @@ class TestKeptTarget:
         pred, res = self.prediction(72, depth, cano)
         self.assert_fresh_bits(pred, res, depth, field, cano)
 
+    @pytest.mark.parametrize("size", [(9, 7), LARGE], ids=["all-pairs", "k-d"])
     @pytest.mark.parametrize("which", ["depth", "valid", "field", "cano"])
-    def test_array_set_writeable_and_changed_is_not_reused(self, which):
-        depth, field, cano = self.target(80)
+    def test_array_set_writeable_and_changed_is_not_reused(self, which, size):
+        """A new target, and above the cut-off a new tree of its new cloud;
+        below it no tree is ever built."""
+        depth, field, cano = self.target(80, *size)
         pred, res = self.prediction(81, depth, cano)
         self.assert_fresh_bits(pred, res, depth, field, cano)
         kept = losses._kept_target
+        kd = size == self.LARGE
+        assert ("tree" in vars(kept)) == kd
         array = {"depth": depth.values, "valid": depth.valid, "field": field.rays,
                  "cano": cano.rays}[which]
         array.setflags(write=True)
@@ -841,4 +815,85 @@ class TestKeptTarget:
         else:  # x and y only: the fields stay in z=1 form
             array[..., :2] *= 1.1
         self.assert_fresh_bits(pred, res, depth, field, cano)
-        assert losses._kept_target is not kept
+        new = losses._kept_target
+        assert new is not kept
+        assert ("tree" in vars(new)) == kd
+        if kd:
+            assert new.tree is not kept.tree and new.cloud is not kept.cloud
+            assert np.array_equal(new.tree.data, new.cloud.points)
+
+    @pytest.fixture
+    def tree_builds(self, monkeypatch):
+        """The points of every k-d tree built while the test runs."""
+        import scipy.spatial
+
+        built, build = [], scipy.spatial.cKDTree
+
+        def counted(points, *args, **kwargs):
+            built.append(points)
+            return build(points, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", counted)
+        return built
+
+    def test_target_tree_is_built_once(self, tree_builds):
+        depth, field, cano = self.target(90, *self.LARGE)
+        seeds = (91, 92, 93)
+        for seed in seeds:
+            pred, res = self.prediction(seed, depth, cano)
+            self.assert_fresh_bits(pred, res, depth, field, cano)
+        kept = losses._kept_target
+        assert int(depth.valid.sum()) > BRUTE_FORCE_LIMIT
+        assert sum(points is kept.cloud.points for points in tree_builds) == 1
+        # per call: the prediction's tree, and _fresh_total's two fresh ones
+        assert len(tree_builds) == 1 + 3 * len(seeds)
+
+    def test_caller_clouds_leave_the_kept_target_alone(self, tree_builds):
+        """``chamfer_distance`` and ``shape_metrics`` on the caller's clouds,
+        even one equal to the kept target's cloud, build fresh trees; the
+        kept target and its tree stay as they were, and the module keeps no
+        other tree."""
+        from metricshape.metrics import shape_metrics
+
+        depth, field, cano = self.target(100, *self.LARGE)
+        pred, res = self.prediction(101, depth, cano)
+        total_loss(pred, depth, res, cano, field, self.W)
+        kept = losses._kept_target
+        kept_vars, tree_type = dict(vars(kept)), type(kept.tree)
+        rng = np.random.default_rng(102)
+        p = PointCloud(rng.uniform(-2, 2, (BRUTE_FORCE_LIMIT + 50, 3)))
+        for q in (PointCloud(kept.cloud.points), PointCloud(rng.uniform(-2, 2, (600, 3)))):
+            assert q.points is not kept.cloud.points
+            del tree_builds[:]
+            chamfer_distance(p, q)
+            shape_metrics(p, q)
+            assert sum(points is q.points for points in tree_builds) == 2
+            assert losses._kept_target is kept
+            assert vars(kept).keys() == kept_vars.keys()
+            assert all(vars(kept)[k] is v for k, v in kept_vars.items())
+            assert not [v for v in vars(losses).values() if isinstance(v, tree_type)]
+
+    def test_refine_below_the_cut_off_loads_no_scipy(self):
+        """In a fresh interpreter: a 16 x 12 refine runs the all-pairs path
+        only, so its process never holds scipy's memory."""
+        from test_cli import package_env
+
+        script = """
+import json, sys
+from metricshape import (CanonicalCamera, Plane, RefineConfig, RefineState, SceneSpec, Sphere,
+                         field_from_intrinsics, make_camera, refine_joint, render_depth)
+scene = SceneSpec((Plane(point=(0, 0, 3.5), normal=(0.15, 0.3, -1.0)),
+                   Sphere(center=(0.2, -0.1, 2.2), radius=0.6)))
+k = make_camera(3, 16, 12)
+depth = render_depth(scene, k)
+cano = CanonicalCamera.for_image(16, 12, fov_deg=60.0)
+init = RefineState.from_maps(depth, cano.intrinsics(16, 12))
+_, trace = refine_joint(init, depth, field_from_intrinsics(k), cano, RefineConfig(max_steps=5))
+print(json.dumps({"steps": len(trace) - 1,
+                  "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+        done = subprocess.run([sys.executable, "-c", script], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        assert result["steps"] > 0 and result["loaded"] == []

@@ -1,12 +1,13 @@
 """Joint depth/intrinsics refinement: line-search contract and convergence."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
 
 from metricshape.camera import DepthMap, Intrinsics, focal_from_fov
-from metricshape.errors import InvalidInitializationError
+from metricshape.errors import InvalidInitializationError, InvalidSettingError
 from metricshape.incidence import CanonicalCamera, field_from_intrinsics
 from metricshape.losses import LossValue, LossWeights
 from metricshape.metrics import depth_metrics, fov_error_stats, shape_metrics
@@ -155,6 +156,24 @@ class TestRefineJoint:
             RefineConfig(depth_lr=0.0)
         with pytest.raises(ValueError):
             RefineConfig(max_steps=-1)
+
+    @pytest.mark.parametrize("name", ["depth_lr", "theta_lr"])
+    @pytest.mark.parametrize("value", [0.0, -0.5, math.inf, -math.inf, math.nan])
+    def test_each_rate_is_named(self, name, value):
+        with pytest.raises(InvalidSettingError) as err:
+            RefineConfig(**{name: value})
+        assert str(err.value) == f"{name} must be finite and positive, got {value}"
+
+    @pytest.mark.parametrize("value", [-1, 2.5, 3.0, True, False, math.nan, "3"])
+    def test_max_steps_is_a_non_negative_integer(self, value):
+        """Not even a whole float: refine_joint counts its steps with range()."""
+        with pytest.raises(InvalidSettingError) as err:
+            RefineConfig(max_steps=value)
+        assert str(err.value) == f"max_steps must be a non-negative integer, got {value}"
+
+    @pytest.mark.parametrize("value", [0, 7, np.int64(7)])
+    def test_integer_max_steps_is_kept(self, value):
+        assert RefineConfig(max_steps=value).max_steps == value
 
 
 class TestFullGroundTruthObjective:

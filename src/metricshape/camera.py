@@ -14,11 +14,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDepthError, InvalidIntrinsicsError, ShapeMismatchError
+from .errors import InvalidDepthError, InvalidIntrinsicsError, InvalidSettingError, ShapeMismatchError
 
 # the most pixels whose (h, w, 3) float64 ray grid numpy can address
 MAX_PIXELS = np.iinfo(np.intp).max // 24
@@ -48,6 +49,16 @@ def _made(cls, **arrays: np.ndarray):
     return value
 
 
+def _require_integer(name: str, value: int, least: int, error=InvalidSettingError) -> None:
+    """A count, seed or size: an integer of at least ``least``. A bool is one to Python, not
+    a count, and a whole float is not one to range() or numpy's seeding."""
+    # a plain int first: the ABC check costs ~0.7 us, and refine builds Intrinsics per evaluation
+    integral = type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    if not integral or value < least:
+        kind = "a non-negative integer" if least == 0 else f"an integer of at least {least}"
+        raise error(f"{name} must be {kind}, got {value}")
+
+
 def _require_focal(name: str, f: float) -> None:
     if not (math.isfinite(f) and f > 0.0):
         raise InvalidIntrinsicsError(f"{name} must be finite and positive, got {f}")
@@ -69,11 +80,10 @@ class Intrinsics:
         _require_focal("fy", self.fy)
         if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
             raise InvalidIntrinsicsError("principal point must be finite")
-        if self.width < 2 or self.height < 2:
-            raise InvalidIntrinsicsError(
-                f"image size must be at least 2x2, got {self.width}x{self.height}"
-            )
-        if self.width * self.height > MAX_PIXELS:
+        _require_integer("width", self.width, 2, InvalidIntrinsicsError)
+        _require_integer("height", self.height, 2, InvalidIntrinsicsError)
+        # Python ints: a product of numpy integers wraps around past int64
+        if int(self.width) * int(self.height) > MAX_PIXELS:
             raise InvalidIntrinsicsError(
                 f"image size (width x height) {self.width}x{self.height} "
                 f"exceeds {MAX_PIXELS} pixels"

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import DepthMap, Intrinsics, _freeze, _made
+from .camera import DepthMap, Intrinsics, _freeze, _made, _require_integer
 from .errors import (
     DegenerateFieldError,
     InvalidInitializationError,
@@ -113,14 +113,17 @@ class RefineConfig:
     tol: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.weights, LossWeights):
+            raise InvalidSettingError(f"weights must be a LossWeights, got {self.weights!r}")
         for name in ("depth_lr", "theta_lr"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
                 raise InvalidSettingError(f"{name} must be finite and positive, got {value}")
-        steps = self.max_steps
-        # range() takes an integer only; a bool is one to Python but not a step count
-        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
-            raise InvalidSettingError(f"max_steps must be a non-negative integer, got {steps}")
+        _require_integer("max_steps", self.max_steps, 0)
+        tol = self.tol
+        # a NaN or negative tol would never stop the descent, silently
+        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0.0):
+            raise InvalidSettingError(f"tol must be finite and non-negative, got {tol!r}")
 
 
 @dataclass(frozen=True)

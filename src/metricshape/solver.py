@@ -13,17 +13,18 @@ turns each constraint into one polynomial equation
 with per-pair constants a1 = d1*u1 - d2*u2, a2 = a4 = d2 - d1,
 a3 = d1*v1 - d2*v2, a5 = (d1 - d2)^2 - L^2; then fx = 1/r_x, fy = 1/r_y,
 cx = t_x/r_x, cy = t_y/r_y. Because a2 = a4, each equation is linear in
-m = (r_x^2, r_x*t_x, r_y^2, r_y*t_y, t_x^2 + t_y^2). Four pairs (the minimal
-problem) leave a line m0 + lambda*n, on which cameras satisfy
-m5*m1*m3 = m2^2*m3 + m4^2*m1: a cubic in lambda whose real roots with
-m1, m3 > 0 are every exact solution. More pairs and a minimal root's polish
-minimize the sum of squared equation values with Levenberg-Marquardt; a
-Huber solve goes on to minimize their Huber loss at a threshold fixed from it.
-Without an ``init``, five or more pairs start LM from the least-squares m of
-their linear system, (t_x, t_y, r_x, r_y) = (m2/sqrt(m1), m4/sqrt(m3),
-sqrt(m1), sqrt(m3)), which is the camera itself for exact pairs; the
-canonical prior is the start when that system has rank < 5, m1 or m3 is not
-positive, or the start leaves float64.
+m = (r_x^2, r_x*t_x, r_y^2, r_y*t_y, t_x^2 + t_y^2), and one SVD of that
+linear system gives its rank, its least-squares m0 and its null direction n;
+an m with m1, m3 > 0 is the camera (t_x, t_y, r_x, r_y) = (m2/sqrt(m1),
+m4/sqrt(m3), sqrt(m1), sqrt(m3)). At rank 4 (four pairs, the minimal problem)
+cameras lie on the line m0 + lambda*n and satisfy m5*m1*m3 = m2^2*m3 + m4^2*m1:
+a cubic in lambda whose admissible real roots are every exact solution. More
+pairs and a minimal root's polish minimize the sum of squared equation values
+with Levenberg-Marquardt; a Huber solve goes on to minimize their Huber loss at
+a threshold fixed from it. Without an ``init``, a rank-5 system starts LM from
+m0's camera, which is the camera itself for exact pairs; the canonical prior is
+the start at rank < 5, when m1 or m3 is not positive, or when the start leaves
+float64.
 
 Each equation is divided by L^2 before stacking so the system is
 dimensionless and large-L constraints do not dominate.
@@ -384,20 +385,35 @@ def _report(theta, f, jac, iterations, stop_reason, width, height) -> SolveRepor
     )
 
 
-def _monomial_system(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The weighted rows' equations as one linear system in m, solved with its columns
-    equilibrated: the least-squares (minimum-norm) m0, the null direction n of the
-    smallest singular value, and the system's rank (five at most)."""
+def _monomial_cameras(rows: np.ndarray, weights: np.ndarray) -> tuple[int, np.ndarray]:
+    """The rank of the weighted rows' system in m and its cameras, one theta per row. One
+    SVD of the equilibrated system gives the rank and the minimum-norm least-squares m0 at
+    the rank's cut-off; the cameras are m0's at rank 5, those on m0 + lambda*n at the
+    cubic's real roots at rank 4, and none below. Only an m with m1, m3 > 0 is a camera."""
     a1, a2, a3, _, a5 = rows.T
     mono = np.stack(_monomials(a1, a2, a3, weights), 1)
     scale = np.linalg.norm(mono, axis=0)
     scale[scale == 0.0] = 1.0
     mono /= scale
     # full_matrices for four rows only: vt is then 5x5 either way, without an (N, N) u
-    _, sv, vt = np.linalg.svd(mono, full_matrices=len(mono) < 5)
+    u, sv, vt = np.linalg.svd(mono, full_matrices=len(mono) < 5)
     rank, _ = _rank_and_condition(sv, mono.shape)
-    m0 = np.linalg.lstsq(mono, -a5 * weights, rcond=None)[0] / scale
-    return m0, vt[-1] / scale, rank
+    if rank < 4:
+        return rank, np.empty((0, 4))
+    m0 = vt[:rank].T @ ((u[:, :rank].T @ (-a5 * weights)) / sv[:rank]) / scale
+    m = m0[None]
+    if rank == 4:
+        n = vt[-1] / scale
+        m1, m2, m3, m4, m5 = (np.array([nj, mj]) for nj, mj in zip(n, m0))
+        mul = np.convolve
+        cubic = mul(mul(m5, m1), m3) - (mul(mul(m2, m2), m3) + mul(mul(m4, m4), m1))
+        if not np.isfinite(cubic).all():  # np.convolve overflows without a floating-point error
+            raise FloatingPointError("overflow in the cubic's coefficients")
+        lam = np.roots(cubic)
+        m = m0 + lam.real[lam.imag == 0.0, None] * n
+    m = m[(m[:, 0] > 0.0) & (m[:, 2] > 0.0)]
+    r_x, r_y = np.sqrt(m[:, 0]), np.sqrt(m[:, 2])
+    return rank, np.stack([m[:, 1] / r_x, m[:, 3] / r_y, r_x, r_y], 1)
 
 
 def _minimal_roots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -405,37 +421,13 @@ def _minimal_roots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     one per row of the result, from the monomial cubic."""
     if len(rows) != 4:
         raise InvalidSettingError(f"minimal solve needs exactly 4 constraints, got {len(rows)}")
-    m0, n, rank = _monomial_system(rows, weights)
+    rank, roots = _monomial_cameras(rows, weights)
     if rank < 4:
         raise DegenerateConstraintsError(
             "constraint set leaves some intrinsic parameters unobservable (monomial "
             f"system rank {rank} < 4; e.g. coplanar points or all pairs at equal depths)"
         )
-    m1, m2, m3, m4, m5 = (np.array([nj, mj]) for nj, mj in zip(n, m0))
-    mul = np.convolve
-    cubic = mul(mul(m5, m1), m3) - (mul(mul(m2, m2), m3) + mul(mul(m4, m4), m1))
-    if not np.isfinite(cubic).all():  # np.convolve overflows without a floating-point error
-        raise FloatingPointError("overflow in the cubic's coefficients")
-    lam = np.roots(cubic)
-    m = m0 + lam.real[:, None] * n
-    m = m[(lam.imag == 0.0) & (m[:, 0] > 0.0) & (m[:, 2] > 0.0)]
-    r_x, r_y = np.sqrt(m[:, 0]), np.sqrt(m[:, 2])
-    return np.stack([m[:, 1] / r_x, m[:, 3] / r_y, r_x, r_y], 1)
-
-
-def _linear_start(rows: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
-    """theta = (m2/sqrt(m1), m4/sqrt(m3), sqrt(m1), sqrt(m3)) from the least-squares m of
-    five or more rows; None when their monomial system has rank < 5, m1 or m3 is not
-    positive, or theta is not finite. The relation m5 = t_x^2 + t_y^2 is left to the fit."""
-    try:
-        m, _, rank = _monomial_system(rows, weights)
-        if rank < 5 or not (m[0] > 0.0 and m[2] > 0.0):
-            return None
-        r_x, r_y = math.sqrt(m[0]), math.sqrt(m[2])
-        theta = np.array([m[1] / r_x, m[3] / r_y, r_x, r_y])
-    except (FloatingPointError, np.linalg.LinAlgError):
-        return None
-    return theta if np.isfinite(theta).all() else None
+    return roots
 
 
 @_within_float64
@@ -469,11 +461,10 @@ def solve_overdetermined(
 ) -> SolveReport:
     """Solve intrinsics from N >= 4 constraints, optionally Huber-robustified.
 
-    LM starts from ``init`` when given. Otherwise it starts from the least-squares
-    solution m of the column-equilibrated monomial system, at theta = (m2/sqrt(m1),
-    m4/sqrt(m3), sqrt(m1), sqrt(m3)), and from the canonical prior when that system
-    has rank < 5 (four pairs, coplanar points, two exact cameras), m1 or m3 is not
-    positive, or the start or a solve from it leaves float64.
+    LM starts from ``init`` when given. Otherwise it starts from the camera of the
+    least-squares m of the column-equilibrated monomial system, and from the canonical
+    prior when that system has rank < 5 (four pairs, coplanar points, two exact
+    cameras), m1 or m3 is not positive, or the start or a solve from it leaves float64.
 
     loss="huber" fixes delta = 1.345 * median|f| / 0.6745 once from the squared
     fit's equation values f, so no noise scale is needed, and goes on to minimize
@@ -485,11 +476,16 @@ def solve_overdetermined(
         raise InvalidSettingError(f"loss must be 'squared' or 'huber', got {loss!r}")
     rows, weights = _coefficient_matrix(constraints)
     fit = None
-    if init is None and (start := _linear_start(rows, weights)) is not None:
+    if init is None:
         try:
-            fit = _fit(rows, weights, start, loss)
-        except FloatingPointError:
-            pass  # a solve from this start leaves float64; the prior's decides
+            rank, cameras = _monomial_cameras(rows, weights)
+        except (FloatingPointError, np.linalg.LinAlgError):
+            rank = 0  # forming the system left float64: no start
+        if rank == 5 and len(cameras) and np.isfinite(cameras[0]).all():
+            try:
+                fit = _fit(rows, weights, cameras[0], loss)
+            except FloatingPointError:
+                pass  # a solve from this start leaves float64; the prior's decides
     if fit is None:
         init = init if init is not None else canonical_params(width, height)
         fit = _fit(rows, weights, init.as_array(), loss)

@@ -20,6 +20,7 @@ from .camera import (
     DepthMap,
     Intrinsics,
     _made,
+    _require_integer,
     focal_from_fov,
     unproject_pixel,
 )
@@ -102,13 +103,7 @@ class NoiseSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise InvalidSettingError(f"{name} must be finite and non-negative, got {value}")
-        _require_seed("seed", self.seed)
-
-
-def _require_seed(name: str, seed: int) -> None:
-    """numpy seeds a generator from a non-negative integer only."""
-    if seed < 0:
-        raise InvalidSettingError(f"{name} must be a non-negative integer, got {seed}")
+        _require_integer("seed", self.seed, 0)
 
 
 def _camera_inside(prim: Primitive) -> bool:
@@ -286,9 +281,8 @@ def sample_constraints(
     the running per-row valid counts, and its column directly in a full row
     or among the row's valid columns otherwise.
     """
-    if count < 1:
-        raise InvalidSettingError(f"count of constraints must be at least 1, got {count}")
-    _require_seed("rng_seed", rng_seed)
+    _require_integer("count of constraints", count, 1)
+    _require_integer("rng_seed", rng_seed, 0)
     if not min_depth_ratio >= 1.0:
         raise InvalidSettingError(f"min_depth_ratio must be >= 1, got {min_depth_ratio}")
     valid, values, w = depth.valid, depth.values, depth.width
@@ -402,7 +396,7 @@ def make_camera(
         raise InvalidSettingError(
             f"center_jitter must be in [0, {FLOAT32_MAX:g}], got {center_jitter}"
         )
-    _require_seed("camera seed", rng_seed)
+    _require_integer("camera seed", rng_seed, 0)
     rng = np.random.default_rng(rng_seed)
     fx = focal_from_fov(float(rng.uniform(lo, hi)), width)
     fy = focal_from_fov(float(rng.uniform(lo, hi)), height)

@@ -163,10 +163,27 @@ class TestTypes:
         with pytest.raises(InvalidIntrinsicsError):
             Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=1, height=4)
 
+    @pytest.mark.parametrize("name", ["width", "height"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "4", 1, -4])
+    def test_image_size_is_an_integer_of_at_least_2(self, name, value):
+        """A 2.5-pixel width built a 3-column ray grid, and rendering then died
+        with a bare TypeError."""
+        size = {"width": 4, "height": 4, name: value}
+        with pytest.raises(InvalidIntrinsicsError) as err:
+            Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, **size)
+        assert str(err.value) == f"{name} must be an integer of at least 2, got {value}"
+
+    def test_numpy_integer_size_is_kept(self):
+        k = Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=np.int64(4), height=np.uint16(3))
+        assert (k.width, k.height) == (4, 3)
+
     def test_image_too_large_to_address_is_rejected(self):
         """Sizes whose (h, w, 3) float64 ray grid numpy cannot address."""
         with pytest.raises(InvalidIntrinsicsError, match="width x height"):
             Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=10**19, height=24)
+        # np.int64(2**32) squared wraps to 0 in int64
+        with pytest.raises(InvalidIntrinsicsError, match="width x height"):
+            Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=np.int64(2**32), height=np.int64(2**32))
         Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=MAX_PIXELS // 2, height=2)
 
     def test_off_center_principal_point_is_legal(self):

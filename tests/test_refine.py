@@ -175,6 +175,29 @@ class TestRefineJoint:
     def test_integer_max_steps_is_kept(self, value):
         assert RefineConfig(max_steps=value).max_steps == value
 
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, "x", None])
+    def test_tol_is_finite_and_non_negative(self, value):
+        """A NaN or negative tol turned the decrease stop off without a word, and
+        a string failed in refine_joint with a bare TypeError."""
+        with pytest.raises(InvalidSettingError) as err:
+            RefineConfig(tol=value)
+        assert str(err.value) == f"tol must be finite and non-negative, got {value!r}"
+
+    @pytest.mark.parametrize("value", [0.0, 1e-9, 2, np.float64(0.5)])
+    def test_finite_non_negative_tol_is_kept(self, value):
+        assert RefineConfig(tol=value).tol == value
+
+    @pytest.mark.parametrize("value", [(1, 2, 3), None, {"lam": 1.0}])
+    def test_weights_are_loss_weights(self, value):
+        """A tuple failed in refine_joint with "'tuple' object has no attribute 'lam'"."""
+        with pytest.raises(InvalidSettingError, match="^weights must be a LossWeights"):
+            RefineConfig(weights=value)
+
+    @pytest.mark.parametrize("name", ["depth_lr", "theta_lr"])
+    def test_rate_that_is_not_a_number_is_named(self, name):
+        with pytest.raises(InvalidSettingError, match=f"^{name} must be finite and positive"):
+            RefineConfig(**{name: "0.1"})
+
 
 class TestFullGroundTruthObjective:
     @pytest.mark.parametrize("j", [0, 1], ids=["fx", "fy"])

@@ -460,19 +460,19 @@ class TestLinearStart:
     @pytest.mark.parametrize("camera", [55, 59])
     def test_rank_four_sets_start_from_the_prior(self, camera, loss):
         """All twelve pairs but one on one plane: the monomial system has rank 4
-        and two exact cameras, so the solve is the prior's, as before."""
-        _, cons = self.jittered_pairs(camera, 12)
-        rows, weights = _coefficient_matrix(cons)
-        assert solver._monomial_system(rows, weights)[2] == 4
-        assert solver._linear_start(rows, weights) is None
+        and two exact cameras, the cubic's roots, so the solve is the prior's."""
+        k, cons = self.jittered_pairs(camera, 12)
+        rank, cameras = solver._monomial_cameras(*_coefficient_matrix(cons))
+        assert rank == 4 and len(cameras) == 2
+        truth = SolverParams.from_intrinsics(k).as_array()
+        assert any(np.allclose(theta, truth, rtol=1e-9, atol=0.0) for theta in cameras)
         assert solve_overdetermined(cons, 640, 480, loss=loss) == self.prior_fit(cons, loss)
 
     def test_coplanar_set_fails_as_the_prior_does(self):
         """Camera 15's twelve exact pairs lie on one plane: rank < 5, so the
         prior's solve runs and its Jacobian rank loss raises."""
         _, cons = self.jittered_pairs(15, 12)
-        rows, weights = _coefficient_matrix(cons)
-        assert solver._monomial_system(rows, weights)[2] < 5
+        assert solver._monomial_cameras(*_coefficient_matrix(cons))[0] < 5
         with pytest.raises(DegenerateConstraintsError) as default:
             solve_overdetermined(cons, 640, 480)
         with pytest.raises(DegenerateConstraintsError) as prior:
@@ -489,20 +489,25 @@ class TestLinearStart:
         def no_system(rows, weights):
             raise AssertionError("the monomial system was formed")
 
-        monkeypatch.setattr(solver, "_monomial_system", no_system)
+        monkeypatch.setattr(solver, "_monomial_cameras", no_system)
         assert [self.prior_fit(cons), self.prior_fit(cons, "huber"), self.prior_fit(four)] == expected
         monkeypatch.undo()
         assert solve_overdetermined(four, 640, 480) == expected[2]
 
     def test_floating_point_event_in_the_start_means_no_start(self, monkeypatch):
         _, cons = self.jittered_pairs(3, 12)
-        rows, weights = _coefficient_matrix(cons)
+        for error in (FloatingPointError("overflow"), np.linalg.LinAlgError("SVD did not converge")):
 
-        def overflowing(rows, weights):
-            raise FloatingPointError("overflow")
+            def failing(rows, weights):
+                raise error
 
-        monkeypatch.setattr(solver, "_monomial_system", overflowing)
-        assert solver._linear_start(rows, weights) is None
+            monkeypatch.setattr(solver, "_monomial_cameras", failing)
+            assert solve_overdetermined(cons, 640, 480) == self.prior_fit(cons)
+
+    @pytest.mark.parametrize("start", [[0.0, 0.0, math.inf, 1.0], [math.nan, 0.0, 1.0, 1.0]])
+    def test_start_that_is_not_finite_falls_back_to_the_prior(self, monkeypatch, start):
+        _, cons = self.jittered_pairs(3, 12)
+        monkeypatch.setattr(solver, "_monomial_cameras", lambda rows, weights: (5, np.array([start])))
         assert solve_overdetermined(cons, 640, 480) == self.prior_fit(cons)
 
     def test_start_that_leaves_float64_falls_back_to_the_prior(self, monkeypatch):
@@ -512,9 +517,64 @@ class TestLinearStart:
         far = np.array([0.0, 0.0, 1e200, 1e200])
         with pytest.raises(InfeasibleConstraintError):
             solve_overdetermined(cons, 640, 480, init=SolverParams(*far))
-        monkeypatch.setattr(solver, "_linear_start", lambda rows, weights: far)
+        monkeypatch.setattr(solver, "_monomial_cameras", lambda rows, weights: (5, far[None]))
         for loss in ("squared", "huber"):
             assert solve_overdetermined(cons, 640, 480, loss=loss) == self.prior_fit(cons, loss)
+
+    @staticmethod
+    def lstsq_start(rows, weights):
+        """The start as ``lstsq`` gives it: theta of the least-squares m of the
+        column-equilibrated system."""
+        a1, a2, a3, _, a5 = rows.T
+        mono = np.stack([a1 * a1, 2.0 * a1 * a2, a3 * a3, 2.0 * a3 * a2, a2 * a2], 1) * weights[:, None]
+        scale = np.linalg.norm(mono, axis=0)
+        m = np.linalg.lstsq(mono / scale, -a5 * weights, rcond=None)[0] / scale
+        r_x, r_y = math.sqrt(m[0]), math.sqrt(m[2])
+        return np.array([m[1] / r_x, m[3] / r_y, r_x, r_y])
+
+    @pytest.mark.parametrize("camera, n", [(c, n) for c in (2, 3, 5, 6) for n in (5, 6, 12)]
+                             + [(132, 12), (46, 6), (None, 100)])
+    def test_start_matches_lstsq(self, camera, n):
+        """One SVD gives the least-squares start lstsq gave on the exact sets."""
+        if camera is None:
+            cons = random_exact_constraints(GT, n, seed=2)
+        else:
+            _, cons = self.jittered_pairs(camera, n)
+        rows, weights = _coefficient_matrix(cons)
+        rank, cameras = solver._monomial_cameras(rows, weights)
+        assert rank == 5 and len(cameras) == 1
+        np.testing.assert_allclose(cameras[0], self.lstsq_start(rows, weights), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case", ["4-pairs", "12-pairs-rank-4", "100-pairs"])
+    def test_one_svd_and_no_lstsq_per_solve(self, monkeypatch, case):
+        """Each public solve factors the (N, 5) monomial system once, with one SVD
+        that gives its rank, start and roots; lstsq never factors it again."""
+        if case == "4-pairs":
+            _, cons = self.jittered_pairs(3, 4)
+            solves = [solve_minimal, enumerate_solutions, solve_overdetermined]
+        elif case == "12-pairs-rank-4":
+            _, cons = self.jittered_pairs(55, 12)
+            solves = [solve_overdetermined]
+        else:
+            cons = random_exact_constraints(GT, 100, seed=2)
+            solves = [solve_overdetermined]
+        factored = []
+        svd, lstsq = np.linalg.svd, np.linalg.lstsq
+
+        def counted_svd(a, *args, **kwargs):
+            factored.append(("svd", a.shape))
+            return svd(a, *args, **kwargs)
+
+        def counted_lstsq(a, *args, **kwargs):
+            factored.append(("lstsq", a.shape))
+            return lstsq(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        for solve in solves:
+            factored.clear()
+            solve(cons, 640, 480)
+            assert [made for made in factored if made[1][1] == 5] == [("svd", (len(cons), 5))]
 
 
 def huber_loss(f, delta):

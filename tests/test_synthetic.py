@@ -415,8 +415,12 @@ class TestSampleConstraints:
             sample_constraints(flat, K, 4, rng_seed=0, min_depth_ratio=ratio)
 
     @pytest.mark.parametrize("count, rng_seed, match", [(-3, 0, "count"), (0, 0, "count"),
-                                                       (4, -1, "rng_seed")])
+                                                       (4, -1, "rng_seed"), (2.5, 0, "count"),
+                                                       (True, 0, "count"), (4, 1.5, "rng_seed"),
+                                                       (4, "1", "rng_seed")])
     def test_bad_count_or_seed_is_rejected(self, count, rng_seed, match):
+        """A count of 2.5 returned three pairs, and a seed of 1.5 died in numpy
+        with "SeedSequence expects int", which names no setting."""
         with pytest.raises(InvalidSettingError, match=match):
             sample_constraints(self.depth, K, count, rng_seed=rng_seed)
 
@@ -554,6 +558,15 @@ class TestNoiseSpec:
         with pytest.raises(InvalidSettingError, match="seed must be a non-negative integer"):
             NoiseSpec(seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "1"])
+    def test_seed_that_is_not_an_integer_is_rejected(self, seed):
+        with pytest.raises(InvalidSettingError) as err:
+            NoiseSpec(seed=seed)
+        assert str(err.value) == f"seed must be a non-negative integer, got {seed}"
+
+    def test_numpy_integer_seed_is_kept(self):
+        assert NoiseSpec(seed=np.int64(3)).seed == 3
+
 
 class TestPerturb:
     def setup_method(self):
@@ -632,6 +645,12 @@ class TestMakeCamera:
     def test_negative_seed_is_rejected(self):
         with pytest.raises(InvalidSettingError, match="camera seed"):
             make_camera(-3, 640, 480)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True])
+    def test_seed_that_is_not_an_integer_is_rejected(self, seed):
+        with pytest.raises(InvalidSettingError) as err:
+            make_camera(seed, 640, 480)
+        assert str(err.value) == f"camera seed must be a non-negative integer, got {seed}"
 
     def test_bad_fov_range(self):
         with pytest.raises(ValueError):
